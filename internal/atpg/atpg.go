@@ -31,7 +31,9 @@ type Options struct {
 	// MaxBacktracks bounds PODEM backtracks per fault and frame count.
 	MaxBacktracks int
 	// MaxEvalsPerFault bounds gate evaluations spent on one fault
-	// across all frame counts (0 = unlimited).
+	// across all frame counts (0 = unlimited). Evaluations are counted
+	// as Effort.Evals counts them: the full-sweep charge of every PODEM
+	// implication, not the smaller event-driven work actually done.
 	MaxEvalsPerFault int64
 	// MaxEvalsTotal bounds the whole deterministic phase; once the
 	// budget is spent the remaining faults are reported as aborted,
@@ -121,8 +123,17 @@ func (s FaultStatus) String() string {
 }
 
 // Effort is the deterministic cost metering of a run.
+//
+// Evals is the historical full-sweep estimate, not measured work. Each
+// PODEM implication is charged (frames - dirty frame) x gates, the cost
+// of re-sweeping every frame from the first one an assignment touched,
+// although the event-driven implication evaluates only the gates whose
+// inputs changed; fault grading is charged cycles x nodes x word groups
+// (see Result.FsimStats for the measured grading work). Keeping the
+// estimate keeps budgets, checkpoints, cache entries and results
+// comparable across engine optimisations.
 type Effort struct {
-	Evals      int64 // composite gate evaluations
+	Evals      int64 // composite gate evaluations, full-sweep estimate
 	Backtracks int64
 	Time       time.Duration
 }

@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/fsim"
@@ -11,43 +12,80 @@ import (
 )
 
 // engine is the per-circuit PODEM machinery. One engine is reused for
-// every target fault; generate resets the per-fault state.
+// every target fault; generate resets the per-fault state. All search
+// scratch -- frame rows, event queues, error sets, visited marks, the
+// backtrace stacks -- is owned by the engine and reused across
+// decisions, frame counts and faults, so a warmed engine allocates only
+// the test sequences it returns.
 type engine struct {
 	c     *netlist.Circuit
 	opt   Options
 	order []int
+	// Structural tables, built once per engine.
+	orderPos []int32             // position of a gate in order, -1 for other nodes
+	gateOut  [][]netlist.GateRef // per-node gate fanouts with their levels
+	dffOut   [][]int32           // per-node flip-flop fanouts
+	index    []int               // position of an input in c.Inputs or a flip-flop in c.DFFs
+	// isOut marks primary-output nodes for O(1) lookup in hot loops.
+	isOut []bool
 	// SCOAP-style controllability costs (guided backtrace).
 	cost0, cost1 []int64
+	// seed is the synchronizing stimulus prefix (SyncSeed option).
+	seed sim.Seq
 
 	// per-fault search state
 	f          fault.Fault
 	frames     int
-	free       bool // free-state (redundancy check) mode
-	pi         [][]logic.V
+	free       bool        // free-state (redundancy check) mode
+	pi         [][]logic.V // rows from frames on are spares kept for reuse
 	state      []logic.V
 	val        [][]logic.C
 	evals      int64
 	backtracks int64
 	budget     int64
+	stack      []decision
 
-	// reusable rail buffers for the simulate hot loop
-	goodBuf, faultyBuf []logic.V
-	// dirty is the first frame whose values are stale; frames are only
-	// re-evaluated from there (an assignment at frame t cannot change
-	// earlier frames).
+	// Implication. Each simulate call is charged the historical
+	// full-sweep cost, (frames-dirty)*len(order) gate evaluations, so
+	// budgets and Effort keep their meaning, but it evaluates only the
+	// gates whose inputs changed.
+	//
+	// dirty is the first frame touched by the assignments made since the
+	// last implication (an assignment at frame t cannot change earlier
+	// frames).
 	dirty int
-	// xmark is the visited set of the X-path check, sized frames*nodes.
-	xmark []bool
-	// isOut marks primary-output nodes for O(1) lookup in hot loops.
-	isOut []bool
-	// seed is the synchronizing stimulus prefix (SyncSeed option).
-	seed sim.Seq
+	// swept is false until the first implication after reset, which
+	// evaluates every frame; later implications are event-driven.
+	swept bool
+	// pending[t] lists the source nodes of frame t whose value may have
+	// changed: assigned inputs, free-state flip-flops (frame 0 only) and
+	// flip-flops whose data input changed in frame t-1.
+	pending [][]int32
+	queued  []bool    // gate already scheduled in the frame being drained
+	buckets [][]int32 // scheduled gates per level
 
-	// btFail memoizes backtrace dead ends within one top-level call;
-	// without it the alternative-input DFS is exponential on
-	// reconvergent logic whose paths all end at the uncontrollable
-	// initial state.
-	btFail map[btKey]bool
+	// errs[t] lists the nodes carrying a fault effect in frame t, in no
+	// particular order; errAt[t*len(c.Nodes)+id] is 1 + the node's
+	// position in errs[t], or 0 when it carries none.
+	errs  [][]int32
+	errAt []int32
+
+	// frontier holds D-frontier candidates as positions in order;
+	// frontierMark deduplicates them per frame.
+	frontier     []int32
+	frontierMark stamps
+	// xmark (frames*nodes) and xstack are the visited set and DFS stack
+	// of the X-path check.
+	xmark  stamps
+	xstack []int32
+	// btFail memoizes backtrace dead ends, indexed by (frame, node,
+	// value), within one top-level call; without it the
+	// alternative-input DFS is exponential on reconvergent logic whose
+	// paths all end at the uncontrollable initial state.
+	btFail stamps
+	// unknowns is the backtrace's stack of candidate fanins: each
+	// recursion level pushes its candidates and pops them on return.
+	unknowns []int
 
 	// ctx enables cooperative cancellation of the search (nil = never
 	// cancelled). It is polled every 256 PODEM decisions via ctxCtr, a
@@ -59,15 +97,70 @@ type engine struct {
 	cancelled bool
 }
 
-// btKey identifies a failed backtrace subgoal.
-type btKey struct {
-	node, frame int
-	v           logic.V
+// stamps is an epoch-stamped set of slots: a slot is a member when it
+// holds the current epoch, so emptying the set is one increment.
+type stamps struct {
+	mark  []uint32
+	epoch uint32
+}
+
+// reset empties the set and makes room for n slots.
+func (s *stamps) reset(n int) {
+	if len(s.mark) < n {
+		s.mark = make([]uint32, n)
+	}
+	s.epoch++
+	if s.epoch == 0 { // wrapped: old marks would alias the new epoch
+		clear(s.mark)
+		s.epoch = 1
+	}
+}
+
+func (s *stamps) has(k int) bool { return s.mark[k] == s.epoch }
+
+func (s *stamps) add(k int) { s.mark[k] = s.epoch }
+
+// visit adds slot k and reports whether it was absent.
+func (s *stamps) visit(k int) bool {
+	if s.mark[k] == s.epoch {
+		return false
+	}
+	s.mark[k] = s.epoch
+	return true
 }
 
 func newEngine(c *netlist.Circuit, opt Options) *engine {
-	order, _ := c.MustLevels()
-	e := &engine{c: c, opt: opt, order: order, isOut: make([]bool, len(c.Nodes))}
+	order, level := c.MustLevels()
+	nodes := len(c.Nodes)
+	e := &engine{
+		c:        c,
+		opt:      opt,
+		order:    order,
+		orderPos: make([]int32, nodes),
+		gateOut:  c.GateFanouts(),
+		dffOut:   make([][]int32, nodes),
+		index:    make([]int, nodes),
+		isOut:    make([]bool, nodes),
+		state:    make([]logic.V, len(c.DFFs)),
+		queued:   make([]bool, nodes),
+	}
+	for id := range e.orderPos {
+		e.orderPos[id] = -1
+	}
+	maxLevel := 0
+	for p, id := range order {
+		e.orderPos[id] = int32(p)
+		maxLevel = max(maxLevel, level[id])
+	}
+	e.buckets = make([][]int32, maxLevel+1)
+	for i, id := range c.Inputs {
+		e.index[id] = i
+	}
+	for i, id := range c.DFFs {
+		e.index[id] = i
+		fi := c.Nodes[id].Fanin[0]
+		e.dffOut[fi] = append(e.dffOut[fi], int32(id))
+	}
 	for _, id := range c.Outputs {
 		e.isOut[id] = true
 	}
@@ -181,43 +274,8 @@ func (e *engine) generate(f fault.Fault) (sim.Seq, FaultStatus) {
 // whether a test was found and, if not, whether the search space was
 // exhausted (as opposed to hitting a limit).
 func (e *engine) podem(n int, free bool) (found, exhausted bool) {
-	// The synchronizing seed occupies extra leading frames; the search
-	// space (decision variables) stays the n requested frames.
-	nSeed := 0
-	if !free && e.seed != nil {
-		nSeed = len(e.seed)
-	}
-	e.frames = nSeed + n
-	e.free = free
-	e.pi = make([][]logic.V, e.frames)
-	for t := range e.pi {
-		e.pi[t] = make([]logic.V, len(e.c.Inputs))
-		if t < nSeed {
-			copy(e.pi[t], e.seed[t])
-			continue
-		}
-		for i := range e.pi[t] {
-			e.pi[t][i] = logic.X
-		}
-	}
-	n = e.frames
-	e.state = make([]logic.V, len(e.c.DFFs))
-	for i := range e.state {
-		e.state[i] = logic.X
-	}
-	if e.val == nil || len(e.val) < n {
-		old := e.val
-		e.val = make([][]logic.C, n)
-		copy(e.val, old)
-	}
-	for t := 0; t < n; t++ {
-		if e.val[t] == nil {
-			e.val[t] = make([]logic.C, len(e.c.Nodes))
-		}
-	}
-	e.dirty = 0 // full re-evaluation for the new fault/frame count
-
-	var stack []decision
+	e.reset(n, free)
+	e.stack = e.stack[:0]
 	backtracksLeft := int64(e.opt.MaxBacktracks)
 	for {
 		if e.budget > 0 && e.evals >= e.budget {
@@ -236,15 +294,15 @@ func (e *engine) podem(n int, free bool) (found, exhausted bool) {
 		}
 		if dec, ok := e.nextDecision(); ok {
 			e.assign(dec.frame, dec.idx, dec.v)
-			stack = append(stack, dec)
+			e.stack = append(e.stack, dec)
 			continue
 		}
 		// Backtrack.
 		for {
-			if len(stack) == 0 {
+			if len(e.stack) == 0 {
 				return false, true
 			}
-			top := &stack[len(stack)-1]
+			top := &e.stack[len(e.stack)-1]
 			if !top.flipped {
 				backtracksLeft--
 				e.backtracks++
@@ -257,18 +315,61 @@ func (e *engine) podem(n int, free bool) (found, exhausted bool) {
 				break
 			}
 			e.assign(top.frame, top.idx, logic.X)
-			stack = stack[:len(stack)-1]
+			e.stack = e.stack[:len(e.stack)-1]
 		}
 	}
 }
 
+// reset sizes the frame expansion for a search over n decision frames
+// (plus the synchronizing seed outside free mode), clears the
+// assignment, and schedules a full evaluation as the next implication.
+// Rows and scratch grow to the largest expansion seen and are reused.
+func (e *engine) reset(n int, free bool) {
+	// The synchronizing seed occupies extra leading frames; the search
+	// space (decision variables) stays the n requested frames.
+	nSeed := 0
+	if !free && e.seed != nil {
+		nSeed = len(e.seed)
+	}
+	e.frames = nSeed + n
+	e.free = free
+	nodes := len(e.c.Nodes)
+	for len(e.val) < e.frames {
+		e.val = append(e.val, make([]logic.C, nodes))
+		e.pi = append(e.pi, make([]logic.V, len(e.c.Inputs)))
+		e.pending = append(e.pending, nil)
+		e.errs = append(e.errs, nil)
+	}
+	if need := e.frames * nodes; len(e.errAt) < need {
+		e.errAt = append(e.errAt, make([]int32, need-len(e.errAt))...)
+	}
+	for t := 0; t < e.frames; t++ {
+		if t < nSeed {
+			copy(e.pi[t], e.seed[t])
+			continue
+		}
+		for i := range e.pi[t] {
+			e.pi[t][i] = logic.X
+		}
+	}
+	for i := range e.state {
+		e.state[i] = logic.X
+	}
+	e.dirty = 0
+	e.swept = false
+}
+
+// assign sets one decision variable and queues its node as a pending
+// source of the next implication.
 func (e *engine) assign(frame, idx int, v logic.V) {
 	if frame < 0 {
 		e.state[idx] = v
+		e.pending[0] = append(e.pending[0], int32(e.c.DFFs[idx]))
 		e.dirty = 0
 		return
 	}
 	e.pi[frame][idx] = v
+	e.pending[frame] = append(e.pending[frame], int32(e.c.Inputs[idx]))
 	if frame < e.dirty {
 		e.dirty = frame
 	}
@@ -283,64 +384,208 @@ func (e *engine) inject(site fault.Site, c logic.C) logic.C {
 	return c
 }
 
-// simulate evaluates every frame of the expansion. The gate loop is the
-// generator's hot path, so composite values are evaluated rail-wise
-// over reusable buffers instead of through logic.EvalC (which would
-// allocate per call). Fault injection is hoisted out of the inner loop:
-// only the faulty node's own evaluation consults the site.
+// simulate implies the current assignment over the frame expansion.
+// The first call after reset is a full sweep; every later call is
+// event-driven: it re-evaluates the pending sources frame by frame,
+// propagates each value change through the gate fanouts in level
+// order, and hands changed flip-flop data inputs to the next frame as
+// pending sources. A gate is evaluated only when one of its fanins
+// changed, so the result equals a full sweep at a fraction of the
+// work. Effort is charged as the full sweep from the dirty frame on.
 func (e *engine) simulate() {
-	c := e.c
-	goodBuf := e.goodBuf[:0]
-	faultyBuf := e.faultyBuf[:0]
+	e.evals += int64(e.frames-e.dirty) * int64(len(e.order))
 	start := e.dirty
-	if start > e.frames {
-		start = 0
-	}
 	e.dirty = e.frames
+	if !e.swept {
+		e.sweep()
+		e.swept = true
+		return
+	}
 	for t := start; t < e.frames; t++ {
-		vals := e.val[t]
-		for i, id := range c.Inputs {
-			vals[id] = e.inject(fault.Site{Node: id, Pin: fault.StemPin}, logic.CFromV(e.pi[t][i]))
+		if len(e.pending[t]) == 0 {
+			continue
 		}
-		for i, id := range c.DFFs {
-			var in logic.C
-			switch {
-			case t > 0:
-				in = e.inject(fault.Site{Node: id, Pin: 0}, e.val[t-1][c.Nodes[id].Fanin[0]])
-			case e.free:
-				in = logic.CFromV(e.state[i])
-			default:
-				in = logic.CX
-			}
-			vals[id] = e.inject(fault.Site{Node: id, Pin: fault.StemPin}, in)
+		for _, id := range e.pending[t] {
+			e.update(t, int(id), e.sourceValue(t, int(id)))
+		}
+		e.pending[t] = e.pending[t][:0]
+		e.drain(t)
+	}
+}
+
+// sweep evaluates every frame from scratch and rebuilds the per-frame
+// error sets: the first implication of a search, when the rows still
+// hold another fault's or frame count's values.
+func (e *engine) sweep() {
+	c := e.c
+	nodes := len(c.Nodes)
+	for t := 0; t < e.frames; t++ {
+		e.pending[t] = e.pending[t][:0]
+		vals := e.val[t]
+		for _, id := range c.Inputs {
+			vals[id] = e.sourceValue(t, id)
+		}
+		for _, id := range c.DFFs {
+			vals[id] = e.sourceValue(t, id)
 		}
 		for _, id := range e.order {
-			n := &c.Nodes[id]
-			goodBuf, faultyBuf = goodBuf[:0], faultyBuf[:0]
-			if e.f.Node == id && !e.f.IsStem() {
-				for pin, fi := range n.Fanin {
-					v := vals[fi]
-					if pin == e.f.Pin {
-						v.Faulty = e.f.SA
-					}
-					goodBuf = append(goodBuf, v.Good)
-					faultyBuf = append(faultyBuf, v.Faulty)
-				}
-			} else {
-				for _, fi := range n.Fanin {
-					goodBuf = append(goodBuf, vals[fi].Good)
-					faultyBuf = append(faultyBuf, vals[fi].Faulty)
-				}
+			vals[id] = e.evalGate(vals, id)
+		}
+		for _, id := range e.errs[t] {
+			e.errAt[t*nodes+int(id)] = 0
+		}
+		e.errs[t] = e.errs[t][:0]
+		for id, v := range vals {
+			if v.IsError() {
+				e.setError(t, id, true)
 			}
-			out := logic.C{Good: logic.Eval(n.Op, goodBuf), Faulty: logic.Eval(n.Op, faultyBuf)}
-			if e.f.Node == id && e.f.IsStem() {
-				out.Faulty = e.f.SA
-			}
-			vals[id] = out
-			e.evals++
 		}
 	}
-	e.goodBuf, e.faultyBuf = goodBuf, faultyBuf
+}
+
+// sourceValue computes the value of a primary input or flip-flop at
+// frame t from the assignment and the previous frame.
+func (e *engine) sourceValue(t, id int) logic.C {
+	stem := fault.Site{Node: id, Pin: fault.StemPin}
+	n := &e.c.Nodes[id]
+	if n.Kind == netlist.KindInput {
+		return e.inject(stem, logic.CFromV(e.pi[t][e.index[id]]))
+	}
+	var in logic.C
+	switch {
+	case t > 0:
+		in = e.inject(fault.Site{Node: id, Pin: 0}, e.val[t-1][n.Fanin[0]])
+	case e.free:
+		in = logic.CFromV(e.state[e.index[id]])
+	default:
+		in = logic.CX
+	}
+	return e.inject(stem, in)
+}
+
+// evalGate evaluates gate id over the frame's values, both rails in
+// one pass over the fanins (logic.EvalC would allocate per call). Only
+// the faulty node's own evaluation consults the fault site.
+func (e *engine) evalGate(vals []logic.C, id int) logic.C {
+	n := &e.c.Nodes[id]
+	pin := -1 // the faulted input pin of this gate, if any
+	if e.f.Node == id && !e.f.IsStem() {
+		pin = e.f.Pin
+	}
+	var out logic.C
+	switch n.Op {
+	case logic.OpAnd, logic.OpNand, logic.OpOr, logic.OpNor:
+		// One controlling input decides the base function; otherwise
+		// any unknown input leaves it unknown.
+		cv, _ := n.Op.ControllingValue()
+		var goodCtl, goodX, faultyCtl, faultyX bool
+		for p, fi := range n.Fanin {
+			v := vals[fi]
+			if p == pin {
+				v.Faulty = e.f.SA
+			}
+			goodCtl = goodCtl || v.Good == cv
+			goodX = goodX || v.Good == logic.X
+			faultyCtl = faultyCtl || v.Faulty == cv
+			faultyX = faultyX || v.Faulty == logic.X
+		}
+		out = logic.C{Good: controlled(cv, goodCtl, goodX), Faulty: controlled(cv, faultyCtl, faultyX)}
+	case logic.OpXor, logic.OpXnor:
+		out = logic.C0
+		for p, fi := range n.Fanin {
+			v := vals[fi]
+			if p == pin {
+				v.Faulty = e.f.SA
+			}
+			out = logic.C{Good: logic.Xor(out.Good, v.Good), Faulty: logic.Xor(out.Faulty, v.Faulty)}
+		}
+	case logic.OpBuf, logic.OpNot:
+		out = vals[n.Fanin[0]]
+		if pin == 0 {
+			out.Faulty = e.f.SA
+		}
+	case logic.OpConst0:
+		out = logic.C0
+	case logic.OpConst1:
+		out = logic.C1
+	default:
+		panic("atpg: unknown gate op " + n.Op.String())
+	}
+	if n.Op.Inverting() {
+		out = logic.C{Good: logic.Not(out.Good), Faulty: logic.Not(out.Faulty)}
+	}
+	if e.f.Node == id && e.f.IsStem() {
+		out.Faulty = e.f.SA
+	}
+	return out
+}
+
+// controlled is the value of an AND/OR-family base function (AND for
+// cv = 0, OR for cv = 1) whose inputs include the controlling value
+// (ctl) or an unknown (x).
+func controlled(cv logic.V, ctl, x bool) logic.V {
+	switch {
+	case ctl:
+		return cv
+	case x:
+		return logic.X
+	}
+	return logic.Not(cv)
+}
+
+// update stores a new value for node id at frame t. A change keeps the
+// frame's error set current, schedules the node's gate fanouts and
+// queues its flip-flop fanouts as pending sources of frame t+1.
+func (e *engine) update(t, id int, v logic.C) {
+	old := e.val[t][id]
+	if v == old {
+		return
+	}
+	e.val[t][id] = v
+	if isErr := v.IsError(); isErr != old.IsError() {
+		e.setError(t, id, isErr)
+	}
+	for _, g := range e.gateOut[id] {
+		if !e.queued[g.ID] {
+			e.queued[g.ID] = true
+			e.buckets[g.Level] = append(e.buckets[g.Level], g.ID)
+		}
+	}
+	if t+1 < e.frames {
+		e.pending[t+1] = append(e.pending[t+1], e.dffOut[id]...)
+	}
+}
+
+// drain evaluates the gates scheduled in frame t in level order. A gate
+// only schedules fanouts of a higher level, so one pass suffices.
+func (e *engine) drain(t int) {
+	vals := e.val[t]
+	for l := range e.buckets {
+		for i := 0; i < len(e.buckets[l]); i++ {
+			id := int(e.buckets[l][i])
+			e.queued[id] = false
+			e.update(t, id, e.evalGate(vals, id))
+		}
+		e.buckets[l] = e.buckets[l][:0]
+	}
+}
+
+// setError adds node id to, or removes it from, the error set of frame
+// t.
+func (e *engine) setError(t, id int, on bool) {
+	row := t * len(e.c.Nodes)
+	list := e.errs[t]
+	if on {
+		e.errAt[row+id] = int32(len(list)) + 1
+		e.errs[t] = append(list, int32(id))
+		return
+	}
+	p := e.errAt[row+id] - 1
+	last := list[len(list)-1]
+	list[p] = last
+	e.errAt[row+int(last)] = p + 1
+	e.errAt[row+id] = 0
+	e.errs[t] = list[:len(list)-1]
 }
 
 // detected reports whether a fault effect reaches an observation point:
@@ -384,6 +629,22 @@ func (e *engine) siteDriver() int {
 	return e.c.Nodes[e.f.Node].Fanin[e.f.Pin]
 }
 
+// open reports whether node id at frame t can still pass a fault
+// effect on: a rail is unknown, or it already carries one.
+func (e *engine) open(t, id int) bool {
+	v := e.val[t][id]
+	return v.Good == logic.X || v.Faulty == logic.X || v.IsError()
+}
+
+// xpush marks node id at frame t visited by the X-path check and
+// stacks it, unless it was visited already.
+func (e *engine) xpush(t, id int) {
+	k := t*len(e.c.Nodes) + id
+	if e.xmark.visit(k) {
+		e.xstack = append(e.xstack, int32(k))
+	}
+}
+
 // xpathExists is the classical X-path check: it reports whether some
 // existing fault effect can still reach an observation point through
 // nodes whose value is not yet fully determined. Both rails being known
@@ -393,50 +654,31 @@ func (e *engine) siteDriver() int {
 func (e *engine) xpathExists() bool {
 	c := e.c
 	n := len(c.Nodes)
-	if len(e.xmark) < e.frames*n {
-		e.xmark = make([]bool, e.frames*n)
-	} else {
-		for i := 0; i < e.frames*n; i++ {
-			e.xmark[i] = false
-		}
-	}
-	open := func(t, id int) bool {
-		v := e.val[t][id]
-		return v.Good == logic.X || v.Faulty == logic.X || v.IsError()
-	}
-	var stack []int32
-	push := func(t, id int) {
-		k := t*n + id
-		if !e.xmark[k] {
-			e.xmark[k] = true
-			stack = append(stack, int32(k))
-		}
-	}
+	e.xmark.reset(e.frames * n)
+	e.xstack = e.xstack[:0]
 	// Seeds: every node already carrying an error, plus -- for a branch
 	// fault -- the consuming node of the faulted input line, whose error
 	// is only visible on the injected line, not on any node output.
 	for t := 0; t < e.frames; t++ {
-		for id := range c.Nodes {
-			if e.val[t][id].IsError() {
-				push(t, id)
-			}
+		for _, id := range e.errs[t] {
+			e.xpush(t, int(id))
 		}
 		if !e.f.IsStem() && e.siteValue(t).IsError() {
 			id := e.f.Node
 			if c.Nodes[id].Kind == netlist.KindDFF {
 				if t+1 < e.frames {
-					push(t+1, id)
+					e.xpush(t+1, id)
 				} else if e.free {
 					return true
 				}
-			} else if open(t, id) {
-				push(t, id)
+			} else if e.open(t, id) {
+				e.xpush(t, id)
 			}
 		}
 	}
-	for len(stack) > 0 {
-		k := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for len(e.xstack) > 0 {
+		k := e.xstack[len(e.xstack)-1]
+		e.xstack = e.xstack[:len(e.xstack)-1]
 		t, id := int(k)/n, int(k)%n
 		if e.isOut[id] {
 			return true
@@ -444,18 +686,42 @@ func (e *engine) xpathExists() bool {
 		for _, s := range c.Nodes[id].Fanout {
 			if c.Nodes[s].Kind == netlist.KindDFF {
 				if t+1 < e.frames {
-					push(t+1, s) // the register forwards any value
+					e.xpush(t+1, s) // the register forwards any value
 				} else if e.free {
 					return true // pseudo output in redundancy mode
 				}
 				continue
 			}
-			if open(t, s) {
-				push(t, s)
+			if e.open(t, s) {
+				e.xpush(t, s)
 			}
 		}
 	}
 	return false
+}
+
+// frontierCandidates returns the gates of frame t that may be on the
+// D-frontier, as positions in e.order, ascending: the gate fanouts of
+// the frame's error-carrying nodes, plus the consuming gate of a branch
+// fault, whose error lives on the injected input line only. Every gate
+// with an erroneous input is among them, and visiting them in order
+// position reproduces the decisions of a scan over all gates.
+func (e *engine) frontierCandidates(t int) []int32 {
+	e.frontierMark.reset(len(e.c.Nodes))
+	cand := e.frontier[:0]
+	for _, id := range e.errs[t] {
+		for _, g := range e.gateOut[id] {
+			if e.frontierMark.visit(int(g.ID)) {
+				cand = append(cand, e.orderPos[g.ID])
+			}
+		}
+	}
+	if id := e.f.Node; !e.f.IsStem() && e.orderPos[id] >= 0 && e.frontierMark.visit(id) {
+		cand = append(cand, e.orderPos[id])
+	}
+	slices.Sort(cand)
+	e.frontier = cand
+	return cand
 }
 
 // nextDecision finds an objective (propagation first, then excitation)
@@ -481,7 +747,8 @@ func (e *engine) nextDecision() (decision, bool) {
 	}
 	// Propagation: drive an error through a D-frontier gate.
 	for t := e.frames - 1; t >= 0; t-- {
-		for _, id := range e.order {
+		for _, p := range e.frontierCandidates(t) {
+			id := e.order[p]
 			n := &e.c.Nodes[id]
 			out := e.val[t][id]
 			if out.IsError() || !out.MaybeError() {
@@ -539,22 +806,19 @@ func (e *engine) nextDecision() (decision, bool) {
 // controllable path; dead ends are memoized per call to keep the
 // exploration linear.
 func (e *engine) backtrace(node, frame int, v logic.V) (decision, bool) {
-	if e.btFail == nil {
-		e.btFail = make(map[btKey]bool)
-	} else {
-		clear(e.btFail)
-	}
+	e.btFail.reset(2 * e.frames * len(e.c.Nodes))
 	return e.backtraceMemo(node, frame, v)
 }
 
 func (e *engine) backtraceMemo(node, frame int, v logic.V) (decision, bool) {
-	key := btKey{node, frame, v}
-	if e.btFail[key] {
+	// Objectives are binary, so each (frame, node) line has two slots.
+	key := 2*(frame*len(e.c.Nodes)+node) + int(v)
+	if e.btFail.has(key) {
 		return decision{}, false
 	}
 	dec, ok := e.backtraceStep(node, frame, v)
 	if !ok {
-		e.btFail[key] = true
+		e.btFail.add(key)
 	}
 	return dec, ok
 }
@@ -563,7 +827,7 @@ func (e *engine) backtraceStep(node, frame int, v logic.V) (decision, bool) {
 	n := &e.c.Nodes[node]
 	switch n.Kind {
 	case netlist.KindInput:
-		idx := e.c.InputIndex(node)
+		idx := e.index[node]
 		if e.pi[frame][idx] != logic.X {
 			return decision{}, false
 		}
@@ -573,7 +837,7 @@ func (e *engine) backtraceStep(node, frame int, v logic.V) (decision, bool) {
 			if !e.free {
 				return decision{}, false
 			}
-			idx := e.c.DFFIndex(node)
+			idx := e.index[node]
 			if e.state[idx] != logic.X {
 				return decision{}, false
 			}
@@ -597,47 +861,53 @@ func (e *engine) backtraceStep(node, frame int, v logic.V) (decision, bool) {
 		// Desired value for the chosen unknown input assumes the other
 		// unknowns stay at 0; complements are explored by backtracking.
 		parity := logic.Zero
-		var unknowns []int
+		base := len(e.unknowns)
 		for _, fi := range n.Fanin {
 			g := e.val[frame][fi].Good
 			if g == logic.X {
-				unknowns = append(unknowns, fi)
+				e.unknowns = append(e.unknowns, fi)
 			} else {
 				parity = logic.Xor(parity, g)
 			}
 		}
-		for _, fi := range unknowns {
-			if dec, ok := e.backtraceMemo(fi, frame, logic.Xor(want, parity)); ok {
-				return dec, true
-			}
-		}
-		return decision{}, false
+		return e.backtraceInputs(base, frame, logic.Xor(want, parity))
 	}
 	// AND/OR family.
 	want := v
 	if n.Op.Inverting() {
 		want = logic.Not(want)
 	}
-	unknowns := e.unknownInputs(n, frame, want)
-	for _, fi := range unknowns {
-		if dec, ok := e.backtraceMemo(fi, frame, want); ok {
+	return e.backtraceInputs(e.unknownInputs(n, frame, want), frame, want)
+}
+
+// backtraceInputs tries the candidate fanins e.unknowns[base:] in order
+// and pops them before returning. Deeper levels push above them and pop
+// their own before they return, so the candidates stay in place.
+func (e *engine) backtraceInputs(base, frame int, v logic.V) (decision, bool) {
+	end := len(e.unknowns)
+	for i := base; i < end; i++ {
+		if dec, ok := e.backtraceMemo(e.unknowns[i], frame, v); ok {
+			e.unknowns = e.unknowns[:base]
 			return dec, true
 		}
 	}
+	e.unknowns = e.unknowns[:base]
 	return decision{}, false
 }
 
-// unknownInputs returns the gate's X-valued fanins ordered by the
-// backtrace heuristic: cheapest-to-control first when guidance is on.
-func (e *engine) unknownInputs(n *netlist.Node, frame int, want logic.V) []int {
-	var unknowns []int
+// unknownInputs pushes the gate's X-valued fanins onto e.unknowns,
+// ordered by the backtrace heuristic: cheapest-to-control first when
+// guidance is on. It returns the stack position of the first one.
+func (e *engine) unknownInputs(n *netlist.Node, frame int, want logic.V) int {
+	base := len(e.unknowns)
 	for _, fi := range n.Fanin {
 		if e.val[frame][fi].Good == logic.X {
-			unknowns = append(unknowns, fi)
+			e.unknowns = append(e.unknowns, fi)
 		}
 	}
+	unknowns := e.unknowns[base:]
 	if !e.opt.GuidedBacktrace || len(unknowns) < 2 {
-		return unknowns
+		return base
 	}
 	cost := e.cost1
 	if want == logic.Zero {
@@ -649,7 +919,7 @@ func (e *engine) unknownInputs(n *netlist.Node, frame int, want logic.V) []int {
 			unknowns[j-1], unknowns[j] = unknowns[j], unknowns[j-1]
 		}
 	}
-	return unknowns
+	return base
 }
 
 // extractTest renders the current PI assignment as a test sequence,
@@ -659,9 +929,12 @@ func (e *engine) extractTest() sim.Seq {
 	if fill == logic.X {
 		fill = logic.Zero
 	}
+	// One backing array for all vectors: two allocations per test.
+	width := len(e.c.Inputs)
+	flat := make(sim.Vec, e.frames*width)
 	seq := make(sim.Seq, e.frames)
 	for t := range seq {
-		v := make(sim.Vec, len(e.c.Inputs))
+		v := flat[t*width : (t+1)*width : (t+1)*width]
 		for i := range v {
 			if e.pi[t][i] == logic.X {
 				v[i] = fill

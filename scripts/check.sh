@@ -28,11 +28,14 @@ echo "== go test -race (result cache: hit/miss byte-identity, corrupt-entry disc
 go test -race -count=1 -run 'TestCachedRun|TestCacheServesRepeatedSubmission|TestCacheDiskTierSurvivesRestart|TestCorruptEntryDiscardedOnLoad|TestConcurrentIdenticalSubmissionsRunOnce|TestCacheHammer' \
     ./internal/resultcache/ ./internal/atpg/ ./internal/service/
 
-echo "== go test -race -short (fault-sharded ATPG determinism + Theorem 1-4 metamorphic suite)"
-# -short keeps the gate fast: 12 theorem pairs and the 5-repeat
-# determinism gauntlet. The full 50-pair suite runs race-free in the
-# plain `go test ./...` tier-1 pass; drop -short here for a nightly run.
-go test -race -short -count=1 -run 'TestParallel|TestTheorem' ./internal/atpg/ ./internal/verify/
+echo "== go test -race -short (fault-sharded ATPG determinism, PODEM implication oracle, pinned result digests, Theorem 1-4 metamorphic suite)"
+# -short keeps the gate fast: 12 theorem pairs, the 5-repeat
+# determinism gauntlet, 4 circuits of the event-driven-vs-full-sweep
+# implication oracle, and the random-circuit half of the pinned
+# EncodeResultPayload digests at 1/2/4 workers. The full 50-pair suite,
+# 12 oracle circuits and the Table II digests run race-free in the plain
+# `go test ./...` tier-1 pass; drop -short here for a nightly run.
+go test -race -short -count=1 -run 'TestParallel|TestTheorem|TestEventDrivenImplication|TestPinnedResultDigests' ./internal/atpg/ ./internal/verify/
 
 echo "== go test -race (dispatch fan-out: retry ladder, migration, degrade, byte-identity at 1/2/4 backends)"
 # The distributed chaos gate: failpoint-driven {first-try success,
@@ -82,34 +85,37 @@ echo "== alloc-regression gate (steady-state Simulate must stay allocation-free)
 # live in internal/fsim/alloc_test.go (0 serial, O(workers) parallel).
 go test -count=1 -run 'TestSimulateSteadyStateAllocs|TestSimulateParallelSteadyStateAllocs' -v ./internal/fsim/ | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|ok|FAIL)'
 
+echo "== alloc-regression gate (warmed PODEM generate allocates only the returned test)"
+# Same -race caveat; the budget lives in internal/atpg/alloc_test.go.
+go test -count=1 -run 'TestGenerateSteadyStateAllocs' -v ./internal/atpg/ | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|ok|FAIL)'
+
 echo "== alloc-regression gate (log ring: <= 1 alloc per record, 0 with a prebuilt string)"
 # Same -race caveat; the budget lives in internal/logger/logger_test.go.
 go test -count=1 -run 'TestLogSteadyStateAllocs' -v ./internal/logger/ | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|ok|FAIL)'
+
+# coverage_floor runs the packages' tests with -cover and fails when any
+# of them is below the 90% floor.
+coverage_floor() {
+    go test -count=1 -cover "$@" | awk '
+        /coverage:/ {
+            pct = 0
+            for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%.*/, "", $i); pct = $i }
+            printf "%-24s %s%%\n", $2, pct
+            if (pct + 0 < 90) { bad = 1 }
+        }
+        END { if (bad) { print "coverage below 90% floor" > "/dev/stderr"; exit 1 } }'
+}
 
 echo "== coverage floor (httpmw + logger must stay >= 90% covered)"
 # The middleware and log ring sit on every request path of both
 # daemons; the hardening pass that introduced them came with a full
 # table-driven suite, and this gate keeps later edits honest.
-go test -count=1 -cover ./internal/httpmw/ ./internal/logger/ | awk '
-    /coverage:/ {
-        pct = 0
-        for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%.*/, "", $i); pct = $i }
-        printf "%-24s %s%%\n", $2, pct
-        if (pct + 0 < 90) { bad = 1 }
-    }
-    END { if (bad) { print "coverage below 90% floor" > "/dev/stderr"; exit 1 } }'
+coverage_floor ./internal/httpmw/ ./internal/logger/
 
 echo "== coverage floor (iofault must stay >= 90% covered)"
 # The IO fault seam guards every durability write path; its behavior
 # under injection is exactly what the degraded-mode guarantees rest on.
-go test -count=1 -cover ./internal/iofault/ | awk '
-    /coverage:/ {
-        pct = 0
-        for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%.*/, "", $i); pct = $i }
-        printf "%-24s %s%%\n", $2, pct
-        if (pct + 0 < 90) { bad = 1 }
-    }
-    END { if (bad) { print "coverage below 90% floor" > "/dev/stderr"; exit 1 } }'
+coverage_floor ./internal/iofault/
 
 echo "== soak smoke (concurrent mixed-kind jobs through one in-process service)"
 go run ./cmd/soak -duration 2s -submitters 2
