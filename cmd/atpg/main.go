@@ -99,13 +99,17 @@ func run(path string, cfg runConfig, stdout, stderr io.Writer) error {
 	if cfg.resume {
 		// A usable checkpoint seeds the run with the prior decisions; an
 		// unusable one (corrupt, version skew, different circuit or
-		// options) is discarded with a note and the run starts clean.
-		if resumed, discarded := atpg.TryResume(&opt, c, reps); resumed {
-			fmt.Fprintf(stderr, "atpg: resuming from %s (%d of %d faults already decided)\n",
-				cfg.checkpoint, len(opt.Checkpoint.ResumeFrom.Decided), len(reps))
-		} else if discarded != nil {
-			fmt.Fprintf(stderr, "atpg: ignoring unusable checkpoint %s: %v\n", cfg.checkpoint, discarded)
+		// options, or a decision log that diverges mid-replay) is
+		// discarded with a note and the run starts clean.
+		opt.Checkpoint.OnResume = func(resumed bool, discarded error) {
+			if resumed {
+				fmt.Fprintf(stderr, "atpg: resuming from %s (%d of %d faults already decided)\n",
+					cfg.checkpoint, len(opt.Checkpoint.ResumeFrom.Decided), len(reps))
+			} else if discarded != nil {
+				fmt.Fprintf(stderr, "atpg: ignoring unusable checkpoint %s: %v\n", cfg.checkpoint, discarded)
+			}
 		}
+		atpg.TryResume(&opt, c, reps)
 	}
 
 	// Ctrl-C (or the -timeout deadline) interrupts the generator at its

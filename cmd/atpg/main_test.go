@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atpg"
 	"repro/internal/netlist"
 )
 
@@ -126,6 +127,43 @@ func TestRunResumeDiscardsGarbage(t *testing.T) {
 	}
 	if !strings.Contains(errw.String(), "ignoring unusable checkpoint") {
 		t.Fatalf("no discard note:\n%s", errw.String())
+	}
+	if out.String() != want.String() {
+		t.Fatal("post-discard run emitted a different test set")
+	}
+}
+
+// TestRunResumeDivergentCheckpoint: -resume over a checkpoint that
+// validates but diverges mid-replay (its first two decisions swapped)
+// notes the discard and completes with the clean-run output instead of
+// reporting an interruption that a rerun would only repeat.
+func TestRunResumeDivergentCheckpoint(t *testing.T) {
+	path := writeBench(t, netlist.Fig5N1())
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	cfg := defaultConfig()
+	cfg.random = false
+	cfg.checkpoint = ckpt
+	cfg.every = 1
+	var want bytes.Buffer
+	if err := run(path, cfg, &want, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := atpg.LoadCheckpoint(ckpt)
+	if err != nil || len(ck.Decided) < 2 {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	ck.Decided[0], ck.Decided[1] = ck.Decided[1], ck.Decided[0]
+	if err := ck.WriteFile(ckpt); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.resume = true
+	var out, errw bytes.Buffer
+	if err := run(path, cfg, &out, &errw); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(errw.String(), "ignoring unusable checkpoint") || strings.Contains(errw.String(), "interrupted") {
+		t.Fatalf("want a discard note and no interruption:\n%s", errw.String())
 	}
 	if out.String() != want.String() {
 		t.Fatal("post-discard run emitted a different test set")

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/fsim"
+	"repro/internal/iofault"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -212,7 +213,25 @@ func RunContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, o
 // RunContextWithCandidates: a non-nil lookup supplies precomputed
 // per-fault PODEM candidates (distributed shard results) in place of
 // inline generation or local speculation.
+//
+// With a checkpoint Path, a ResumeFrom that fails Validate or diverges
+// mid-replay is deleted, reported to OnResume, and the run restarts
+// clean, so an unusable file never wedges a caller's retry loop.
 func runMerge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, lookup CandidateLookup) (*Result, error) {
+	res, err := merge(ctx, c, faults, opt, lookup)
+	if cfg := opt.Checkpoint; cfg.ResumeFrom != nil && cfg.Path != "" && isCheckpointErr(err) {
+		iofault.Discard(cfg.Path)
+		if cfg.OnResume != nil {
+			cfg.OnResume(false, err)
+		}
+		opt.Checkpoint.ResumeFrom = nil
+		return merge(ctx, c, faults, opt, lookup)
+	}
+	return res, err
+}
+
+// merge is one pass of runMerge.
+func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, lookup CandidateLookup) (*Result, error) {
 	start := time.Now()
 	res := &Result{
 		Circuit: c,

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/failpoint"
 	"repro/internal/fault"
@@ -44,18 +43,21 @@ const DefaultCheckpointEvery = 64
 // checkpointMagic leads every encoded checkpoint.
 const checkpointMagic = "ATPGCKPT"
 
-// Failpoint names armed by chaos tests to crash inside the checkpoint
-// write path.
-const (
-	FailpointCheckpointBeforeWrite = "atpg.checkpoint.before-write"
-	FailpointCheckpointAfterTmp    = "atpg.checkpoint.after-tmp"
-	FailpointCheckpointAfterWrite  = "atpg.checkpoint.after-write"
-)
-
 // CheckpointIOFaultSite names this package's iofault site: chaos tests
 // arm iofault.Point(CheckpointIOFaultSite, op) to fail checkpoint
 // opens, writes, syncs, renames or reads with ENOSPC/EIO/torn writes.
 const CheckpointIOFaultSite = "checkpoint"
+
+// Failpoint names armed by chaos tests to crash inside the checkpoint
+// write path. FailpointCheckpointAfterTmp fires once the complete temp
+// file is written, synced and closed, just before it is renamed over
+// the checkpoint path; it is the checkpoint site's iofault rename
+// point, so an armed error leaves that complete temp file behind.
+const (
+	FailpointCheckpointBeforeWrite = "atpg.checkpoint.before-write"
+	FailpointCheckpointAfterTmp    = "iofault." + CheckpointIOFaultSite + "." + iofault.OpRename
+	FailpointCheckpointAfterWrite  = "atpg.checkpoint.after-write"
+)
 
 // Checkpoint decode/validate errors. Decode failures wrap
 // ErrCheckpointCorrupt or ErrCheckpointVersion; Validate failures wrap
@@ -69,10 +71,9 @@ var (
 // CheckpointConfig wires periodic durable checkpoints into a run; the
 // zero value disables them.
 type CheckpointConfig struct {
-	// Path names the checkpoint file. Writes are atomic: the encoding
-	// is written to Path+".tmp", fsynced, and renamed over Path, so a
-	// crash leaves either the previous complete checkpoint or the new
-	// one, never a torn file at Path.
+	// Path names the checkpoint file. Writes are atomic
+	// (iofault.WriteAtomic), so a crash leaves either the previous
+	// complete checkpoint or the new one, never a torn file at Path.
 	Path string
 	// Every is the flush cadence in decided faults (default
 	// DefaultCheckpointEvery). A final flush also happens when the run
@@ -88,9 +89,10 @@ type CheckpointConfig struct {
 	// file was discarded instead (nil when there was no file at all).
 	OnResume func(resumed bool, err error)
 	// ResumeFrom, when non-nil, replays the checkpoint's decision log
-	// before deterministic generation starts. It must validate against
-	// the run's circuit, fault list and options (see Validate);
-	// RunContext fails with ErrCheckpointMismatch otherwise.
+	// before deterministic generation starts. If it fails Validate or
+	// diverges from the live run during replay, a run with a Path
+	// deletes that file, reports OnResume(false, err) and reruns clean;
+	// without a Path, RunContext fails with ErrCheckpointMismatch.
 	ResumeFrom *Checkpoint
 }
 
@@ -287,9 +289,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// WriteFile atomically persists the checkpoint: encode, write to
-// path+".tmp", fsync, rename over path. A crash mid-write leaves at
-// worst a stale .tmp next to the previous complete checkpoint.
+// WriteFile atomically persists the checkpoint (iofault.WriteAtomic): a
+// crash mid-write leaves at worst temp residue beside the previous one.
 func (ck *Checkpoint) WriteFile(path string) error { return ck.writeFile(path, true) }
 
 // writeFile is WriteFile with the directory fsync optional: the
@@ -300,37 +301,8 @@ func (ck *Checkpoint) writeFile(path string, syncDir bool) error {
 	if err := failpoint.Inject(FailpointCheckpointBeforeWrite); err != nil {
 		return err
 	}
-	data := ck.Encode()
-	tmp := path + ".tmp"
-	f, err := iofault.OpenFile(CheckpointIOFaultSite, tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := iofault.WriteAtomic(CheckpointIOFaultSite, path, ck.Encode(), syncDir); err != nil {
 		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp) // a failed write leaves torn bytes; keep only Path pristine
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := failpoint.Inject(FailpointCheckpointAfterTmp); err != nil {
-		return err
-	}
-	if err := iofault.Rename(CheckpointIOFaultSite, tmp, path); err != nil {
-		return err
-	}
-	// Best-effort: make the rename itself durable.
-	if syncDir {
-		if d, err := os.Open(filepath.Dir(path)); err == nil {
-			d.Sync()
-			d.Close()
-		}
 	}
 	return failpoint.Inject(FailpointCheckpointAfterWrite)
 }
@@ -351,7 +323,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // against this run, and installs it as opt.Checkpoint.ResumeFrom. A
 // missing file is a clean fresh start (false, nil). A file whose
 // content cannot be used -- torn, corrupt, wrong version, or from a
-// different run -- is deleted along with any .tmp residue so it can
+// different run -- is deleted along with any temp residue so it can
 // never wedge a retry loop, and the reason is returned (false, err):
 // the run proceeds cleanly from scratch. A plain read IO error (EIO, a
 // permission flap) also proceeds from scratch but leaves the file
@@ -376,14 +348,12 @@ func TryResume(opt *Options, c *netlist.Circuit, faults []fault.Fault) (resumed 
 			return false, nil
 		}
 		if isCheckpointErr(err) {
-			os.Remove(path)
-			os.Remove(path + ".tmp")
+			iofault.Discard(path)
 		}
 		return report(false, err)
 	}
 	if err := ck.Validate(c, faults, *opt); err != nil {
-		os.Remove(path)
-		os.Remove(path + ".tmp")
+		iofault.Discard(path)
 		return report(false, err)
 	}
 	opt.Checkpoint.ResumeFrom = ck

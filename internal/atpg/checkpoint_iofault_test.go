@@ -172,3 +172,13 @@ func TestTryResumeKeepsFileOnReadError(t *testing.T) {
 		t.Fatal("corrupt checkpoint was not deleted")
 	}
 }
+
+// TestFailpointCheckpointAfterTmpIsRenamePoint: the after-tmp crash
+// point is the checkpoint site's iofault rename point, so arming either
+// name stops the write after the complete temp file is closed and
+// before it replaces the checkpoint.
+func TestFailpointCheckpointAfterTmpIsRenamePoint(t *testing.T) {
+	if want := iofault.Point(CheckpointIOFaultSite, iofault.OpRename); FailpointCheckpointAfterTmp != want {
+		t.Fatalf("FailpointCheckpointAfterTmp = %q, want %q", FailpointCheckpointAfterTmp, want)
+	}
+}

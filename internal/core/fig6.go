@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math"
-	"os"
 
 	"repro/internal/atpg"
 	"repro/internal/fault"
@@ -74,12 +72,6 @@ func Fig6FlowContext(ctx context.Context, impl *netlist.Circuit, opt atpg.Option
 	// a clean restart, never a wedged flow.
 	atpg.TryResume(&opt, pair.Original, easyFaults)
 	res, err := atpg.RunContext(ctx, pair.Original, easyFaults, opt)
-	if errors.Is(err, atpg.ErrCheckpointMismatch) && opt.Checkpoint.Path != "" {
-		os.Remove(opt.Checkpoint.Path)
-		os.Remove(opt.Checkpoint.Path + ".tmp")
-		opt.Checkpoint.ResumeFrom = nil
-		res, err = atpg.RunContext(ctx, pair.Original, easyFaults, opt)
-	}
 	if err != nil {
 		return nil, err
 	}

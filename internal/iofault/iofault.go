@@ -25,13 +25,23 @@
 // afterwards is genuinely torn, not merely missing -- the case the
 // journal's replay tolerance and the checkpoint/cache checksum trailers
 // exist for.
+//
+// The package also owns the on-disk write protocol. WriteAtomic writes
+// a temp file beside the target, fsyncs, closes and renames it over the
+// target, so a crash leaves the previous file or the new one, never a
+// torn one; a failed write or sync removes the temp file, a failed
+// rename leaves it complete. Only this package names temp files:
+// Discard deletes a file with its residue, SweepTmp a directory's. Gate
+// is the degraded-disk switch the durable tiers share.
 package iofault
 
 import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"syscall"
+	"time"
 
 	"repro/internal/failpoint"
 )
@@ -110,9 +120,6 @@ func OpenFile(site, name string, flag int, perm os.FileMode) (*File, error) {
 	return &File{f: f, site: site}, nil
 }
 
-// Name returns the name of the underlying file.
-func (f *File) Name() string { return f.f.Name() }
-
 // Write writes p behind the site's write failpoint. An armed
 // PartialWriteError really writes its first N bytes (clamped to len(p))
 // before failing, leaving genuinely torn bytes on disk.
@@ -149,22 +156,6 @@ func (f *File) Sync() error {
 // Close closes the underlying file.
 func (f *File) Close() error { return f.f.Close() }
 
-// WriteFile is os.WriteFile behind the site's open/write failpoints: a
-// torn write leaves the partial bytes in place, exactly like the real
-// crash it models.
-func WriteFile(site, name string, data []byte, perm os.FileMode) error {
-	f, err := OpenFile(site, name, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, perm)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(data)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
-}
-
 // ReadFile is os.ReadFile behind the site's read failpoint.
 func ReadFile(site, name string) ([]byte, error) {
 	if err := failpoint.Inject(Point(site, OpRead)); err != nil {
@@ -179,4 +170,111 @@ func Rename(site, oldpath, newpath string) error {
 		return err
 	}
 	return os.Rename(oldpath, newpath)
+}
+
+// tmpSuffix names the temp file staging path's next contents.
+const tmpSuffix = ".tmp"
+
+// WriteAtomic replaces path with data (mode 0644) by the protocol in
+// the package doc, through the site's failpoints. With syncDir the
+// directory is fsynced last, best effort, so the rename is durable.
+func WriteAtomic(site, path string, data []byte, syncDir bool) error {
+	tmp := path + tmpSuffix
+	f, err := OpenFile(site, tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := Rename(site, tmp, path); err != nil {
+		return err
+	}
+	if syncDir {
+		if d, err := os.Open(filepath.Dir(path)); err == nil {
+			d.Sync()
+			d.Close()
+		}
+	}
+	return nil
+}
+
+// Discard deletes path and any temp residue WriteAtomic left beside
+// it. Errors are ignored: a file that is already gone is discarded.
+func Discard(path string) {
+	os.Remove(path)
+	os.Remove(path + tmpSuffix)
+}
+
+// SweepTmp deletes the temp residue of every file in dir whose final
+// name matches pattern (a filepath.Match pattern such as "*.ckpt") and
+// reports how many files it removed.
+func SweepTmp(dir, pattern string) int {
+	tmps, _ := filepath.Glob(filepath.Join(dir, pattern+tmpSuffix))
+	removed := 0
+	for _, p := range tmps {
+		if os.Remove(p) == nil {
+			removed++
+		}
+	}
+	return removed
+}
+
+// Gate is the degraded-disk switch of a durable tier: Threshold
+// consecutive failures open it (the owner goes memory-only), Allow then
+// admits one probe per ProbeEvery, and the first success closes it.
+// Owners pass the current time and keep their own metrics and logs. A
+// Gate is not safe for concurrent use.
+type Gate struct {
+	Threshold  int           // consecutive failures that open the gate (at least 1)
+	ProbeEvery time.Duration // spacing of probe attempts while open
+
+	fails     int       // consecutive failures
+	open      bool      // degraded: only probes are admitted
+	nextProbe time.Time // earliest next probe while open
+}
+
+// Degraded reports whether the gate is open.
+func (g *Gate) Degraded() bool { return g.open }
+
+// Allow reports whether an attempt may proceed at now: always while
+// closed, while open only as the due probe (claimed by this caller).
+func (g *Gate) Allow(now time.Time) bool {
+	if !g.open {
+		return true
+	}
+	if now.Before(g.nextProbe) {
+		return false
+	}
+	g.nextProbe = now.Add(g.ProbeEvery)
+	return true
+}
+
+// Fail records a failed attempt at now and reports whether it opened
+// the gate; the first probe is then due ProbeEvery after now.
+func (g *Gate) Fail(now time.Time) (opened bool) {
+	g.fails++
+	if g.open || g.fails < g.Threshold {
+		return false
+	}
+	g.open = true
+	g.nextProbe = now.Add(g.ProbeEvery)
+	return true
+}
+
+// OK records a successful attempt and reports whether it closed an
+// open gate (a probe succeeded).
+func (g *Gate) OK() (recovered bool) {
+	recovered = g.open
+	g.fails, g.open = 0, false
+	return recovered
 }

@@ -2,10 +2,12 @@ package iofault
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/failpoint"
 )
@@ -27,9 +29,6 @@ func TestUninstrumentedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Name() != tmp {
-		t.Fatalf("Name = %q, want %q", f.Name(), tmp)
-	}
 	if n, err := f.Write([]byte("hello")); err != nil || n != 5 {
 		t.Fatalf("Write = %d, %v", n, err)
 	}
@@ -46,12 +45,12 @@ func TestUninstrumentedRoundTrip(t *testing.T) {
 	if err != nil || string(b) != "hello" {
 		t.Fatalf("ReadFile = %q, %v", b, err)
 	}
-	if err := WriteFile("test", final, []byte("bye"), 0o644); err != nil {
+	if err := WriteAtomic("test", final, []byte("bye"), true); err != nil {
 		t.Fatal(err)
 	}
 	b, err = os.ReadFile(final)
 	if err != nil || string(b) != "bye" {
-		t.Fatalf("after WriteFile: %q, %v", b, err)
+		t.Fatalf("after WriteAtomic: %q, %v", b, err)
 	}
 }
 
@@ -75,7 +74,13 @@ func TestInjectedFaults(t *testing.T) {
 			return err
 		}},
 		{OpWrite, NoSpace(), ErrNoSpace, func() error {
-			return WriteFile("t", path, []byte("zz"), 0o644)
+			f, err := OpenFile("t", path, os.O_WRONLY, 0o644)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			_, err = f.Write([]byte("zz"))
+			return err
 		}},
 		{OpSync, IOError(), ErrIO, func() error {
 			f, err := OpenFile("t", path, os.O_WRONLY, 0o644)
@@ -110,6 +115,19 @@ func TestInjectedFaults(t *testing.T) {
 	}
 }
 
+// writeOnce creates (or truncates) path and writes data to it once
+// through the site's failpoints, returning the write's error.
+func writeOnce(t *testing.T, site, path string, data []byte) error {
+	t.Helper()
+	f, err := OpenFile(site, path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, err = f.Write(data)
+	return err
+}
+
 // TestPartialWriteTears: an armed PartialWrite persists exactly N bytes
 // to the real file, then fails with the wrapped error.
 func TestPartialWriteTears(t *testing.T) {
@@ -118,7 +136,7 @@ func TestPartialWriteTears(t *testing.T) {
 	failpoint.Enable(Point("t", OpWrite), PartialWrite(3, nil))
 	defer failpoint.DisableAll()
 
-	err := WriteFile("t", path, []byte("abcdef"), 0o644)
+	err := writeOnce(t, "t", path, []byte("abcdef"))
 	if !errors.Is(err, ErrIO) {
 		t.Fatalf("torn write err = %v, want EIO", err)
 	}
@@ -151,7 +169,7 @@ func TestPartialWriteClamps(t *testing.T) {
 			path := filepath.Join(dir, tc.name)
 			failpoint.Enable(Point("t", OpWrite), PartialWrite(tc.n, ErrNoSpace))
 			defer failpoint.DisableAll()
-			if err := WriteFile("t", path, []byte("abcdef"), 0o644); !errors.Is(err, ErrNoSpace) {
+			if err := writeOnce(t, "t", path, []byte("abcdef")); !errors.Is(err, ErrNoSpace) {
 				t.Fatalf("err = %v, want ENOSPC", err)
 			}
 			b, _ := os.ReadFile(path)
@@ -167,5 +185,173 @@ func TestPartialWriteClamps(t *testing.T) {
 func TestOpenRealError(t *testing.T) {
 	if _, err := OpenFile("t", filepath.Join(t.TempDir(), "no", "dir", "f"), os.O_CREATE|os.O_WRONLY, 0o644); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("err = %v, want ErrNotExist", err)
+	}
+}
+
+// TestWriteAtomic: whatever step fails, the target keeps its previous
+// bytes. Write and sync failures (torn or not) scrub the temp file; a
+// rename failure leaves the complete temp file, which SweepTmp
+// collects. Success replaces the target and leaves no residue. Every
+// case runs with the directory fsync on and off.
+func TestWriteAtomic(t *testing.T) {
+	const oldData, newData = "previous", "replacement"
+	cases := []struct {
+		name    string
+		op      string
+		action  func() error
+		want    error
+		leftTmp bool
+	}{
+		{"ok", "", nil, nil, false},
+		{"open", OpOpen, NoSpace(), ErrNoSpace, false},
+		{"write", OpWrite, NoSpace(), ErrNoSpace, false},
+		{"torn", OpWrite, PartialWrite(4, nil), ErrIO, false},
+		{"sync", OpSync, IOError(), ErrIO, false},
+		{"rename", OpRename, IOError(), ErrIO, true},
+	}
+	for _, tc := range cases {
+		for _, syncDir := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/syncDir=%v", tc.name, syncDir), func(t *testing.T) {
+				dir := t.TempDir()
+				path := filepath.Join(dir, "state.dat")
+				if err := os.WriteFile(path, []byte(oldData), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if tc.action != nil {
+					failpoint.Enable(Point("atomic", tc.op), tc.action)
+					defer failpoint.DisableAll()
+				}
+				err := WriteAtomic("atomic", path, []byte(newData), syncDir)
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+				want := oldData
+				if tc.want == nil {
+					want = newData
+				}
+				if b, _ := os.ReadFile(path); string(b) != want {
+					t.Fatalf("target = %q, want %q", b, want)
+				}
+				tmp, terr := os.ReadFile(path + tmpSuffix)
+				if !tc.leftTmp {
+					if !errors.Is(terr, os.ErrNotExist) {
+						t.Fatalf("temp residue left behind: %q, %v", tmp, terr)
+					}
+					return
+				}
+				if string(tmp) != newData {
+					t.Fatalf("rename failure left temp %q, want the complete %q", tmp, newData)
+				}
+				if n := SweepTmp(dir, "*.dat"); n != 1 {
+					t.Fatalf("SweepTmp removed %d files, want 1", n)
+				}
+				if _, err := os.Stat(path + tmpSuffix); !errors.Is(err, os.ErrNotExist) {
+					t.Fatal("SweepTmp left the temp file")
+				}
+			})
+		}
+	}
+}
+
+// TestDiscardAndSweepTmp: Discard removes a file and its temp residue
+// (and is a no-op on a missing file); SweepTmp removes only the temp
+// residue of files matching its pattern and never a final file.
+func TestDiscardAndSweepTmp(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	exists := func(p string) bool {
+		_, err := os.Stat(p)
+		return err == nil
+	}
+
+	gone := write("gone.ckpt")
+	goneTmp := write("gone.ckpt" + tmpSuffix)
+	Discard(gone)
+	if exists(gone) || exists(goneTmp) {
+		t.Fatal("Discard left the file or its temp residue")
+	}
+	Discard(filepath.Join(dir, "never-existed"))
+
+	keep := write("a.ckpt")
+	tmpA := write("a.ckpt" + tmpSuffix)
+	tmpB := write("b.ckpt" + tmpSuffix)
+	other := write("c.rce" + tmpSuffix)
+	if n := SweepTmp(dir, "*.ckpt"); n != 2 {
+		t.Fatalf("SweepTmp removed %d files, want 2", n)
+	}
+	if exists(tmpA) || exists(tmpB) {
+		t.Fatal("SweepTmp left matching residue")
+	}
+	if !exists(keep) || !exists(other) {
+		t.Fatal("SweepTmp removed a final file or another pattern's residue")
+	}
+	if n := SweepTmp(filepath.Join(dir, "missing"), "*.ckpt"); n != 0 {
+		t.Fatalf("SweepTmp on a missing dir removed %d files", n)
+	}
+}
+
+// TestGateTransitions steps the clock by hand: the gate opens on the
+// Threshold-th consecutive failure, admits exactly one probe per
+// ProbeEvery while open, and the first success closes it.
+func TestGateTransitions(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	at := func(d time.Duration) time.Time { return t0.Add(d) }
+	g := Gate{Threshold: 3, ProbeEvery: 10 * time.Second}
+
+	// A success resets the consecutive-failure count.
+	g.Fail(t0)
+	g.Fail(t0)
+	if g.OK() {
+		t.Fatal("OK on a closed gate reported a recovery")
+	}
+	for i := 1; i <= 3; i++ {
+		if !g.Allow(t0) {
+			t.Fatalf("closed gate denied attempt %d", i)
+		}
+		if opened := g.Fail(t0); opened != (i == 3) || g.Degraded() != (i == 3) {
+			t.Fatalf("failure %d: opened=%v degraded=%v", i, opened, g.Degraded())
+		}
+	}
+	if g.Allow(at(9 * time.Second)) {
+		t.Fatal("open gate admitted an attempt before the probe was due")
+	}
+	if !g.Allow(at(10 * time.Second)) {
+		t.Fatal("open gate denied the due probe")
+	}
+	if g.Allow(at(10 * time.Second)) {
+		t.Fatal("a second attempt leaked through the same probe slot")
+	}
+	if g.Fail(at(10 * time.Second)) {
+		t.Fatal("a failed probe re-reported the opening")
+	}
+	if g.Allow(at(19 * time.Second)) {
+		t.Fatal("next probe admitted early")
+	}
+	if !g.Allow(at(20 * time.Second)) {
+		t.Fatal("next probe not admitted")
+	}
+	if !g.OK() || g.Degraded() {
+		t.Fatal("a successful probe did not close the gate")
+	}
+	if !g.Allow(at(20 * time.Second)) {
+		t.Fatal("closed gate denied an attempt")
+	}
+
+	// Threshold 1 (the journal's) and the zero value open on the first
+	// failure, with the first probe due ProbeEvery later.
+	for _, th := range []int{1, 0} {
+		g := Gate{Threshold: th, ProbeEvery: time.Second}
+		if !g.Fail(t0) || !g.Degraded() {
+			t.Fatalf("threshold %d: first failure did not open the gate", th)
+		}
+		if g.Allow(at(999*time.Millisecond)) || !g.Allow(at(time.Second)) {
+			t.Fatalf("threshold %d: probe not due exactly ProbeEvery after the failure", th)
+		}
 	}
 }

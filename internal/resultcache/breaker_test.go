@@ -148,3 +148,32 @@ func TestDiskTornSaveScrubsTmp(t *testing.T) {
 		t.Fatalf("memory tier lost the entry: ok=%v src=%v", ok, src)
 	}
 }
+
+// TestSweepKeepsEntriesOnReadError: a transient read error during the
+// recovery sweep is no verdict on an entry. The sweep reads through the
+// cache's iofault site; with every read failing EIO it removes nothing,
+// and once the disk heals the entry is served from disk by a fresh
+// cache.
+func TestSweepKeepsEntriesOnReadError(t *testing.T) {
+	dir := t.TempDir()
+	k := Key{Circuit: 1, Faults: 2, Options: 3}
+	New(Config{Dir: dir}).Put(k, []byte("survives"))
+
+	c := New(Config{Dir: dir})
+	var reads int
+	failpoint.Enable(iofault.Point(DiskIOFaultSite, iofault.OpRead), func() error {
+		reads++
+		return iofault.ErrIO
+	})
+	removed := c.Sweep()
+	failpoint.DisableAll()
+	if reads == 0 {
+		t.Fatal("Sweep read the entry outside the cache's iofault site")
+	}
+	if removed != 0 {
+		t.Fatalf("Sweep removed %d files on a read EIO, want 0", removed)
+	}
+	if got, src, ok := c.Get(k); !ok || src != SourceDisk || string(got) != "survives" {
+		t.Fatalf("after the sweep: %q, %v, %v; want a disk hit", got, src, ok)
+	}
+}

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/iofault"
 	"repro/internal/metrics"
 )
 
@@ -236,18 +237,14 @@ func New(cfg Config) *Cache {
 		c.shards[i].maxBytes = maxBytes / int64(n)
 	}
 	if cfg.Dir != "" {
-		threshold := cfg.DiskFailThreshold
-		if threshold <= 0 {
-			threshold = defaultDiskFailThreshold
+		gate := iofault.Gate{Threshold: cfg.DiskFailThreshold, ProbeEvery: cfg.DiskProbeEvery}
+		if gate.Threshold <= 0 {
+			gate.Threshold = defaultDiskFailThreshold
 		}
-		probe := cfg.DiskProbeEvery
-		if probe <= 0 {
-			probe = defaultDiskProbeEvery
+		if gate.ProbeEvery <= 0 {
+			gate.ProbeEvery = defaultDiskProbeEvery
 		}
-		c.store = &diskStore{
-			dir: cfg.Dir, reg: reg, logf: cfg.Logf,
-			threshold: threshold, probeEvery: probe,
-		}
+		c.store = &diskStore{dir: cfg.Dir, reg: reg, logf: cfg.Logf, gate: gate}
 	}
 	return c
 }
@@ -451,7 +448,7 @@ func (c *Cache) lead(k Key, f *flight, compute func() ([]byte, error)) ([]byte, 
 }
 
 // Sweep scans the disk store and removes residue that must not be
-// trusted: torn-write *.tmp leftovers and entry files that fail to
+// trusted: torn-write temp leftovers and entry files that fail to
 // decode, carry the wrong version, or do not match the key in their own
 // name. It reports the number of files removed and is a no-op without a
 // disk store. The job service runs it during crash recovery.

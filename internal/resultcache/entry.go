@@ -131,26 +131,22 @@ func uvarintLen(v uint64) int {
 // diskStore is the durable tier: one entry file per key under dir,
 // written atomically and validated (or discarded) on every load.
 //
-// A circuit breaker guards every IO attempt: after threshold
-// consecutive IO errors (reads and writes both count; a missing entry
-// file does not) the tier disables itself -- the memory tier and the
-// engines keep answering, loads miss, saves are skipped and counted as
-// cache.disk_skipped -- and one attempt per probeEvery is let through
-// as a probe. The first probe that succeeds re-enables the tier. The
-// cache.disk_degraded gauge tracks the breaker state, disk_errors /
-// disk_recovered count the transitions' raw material, so /metrics shows
-// a sick disk long before an operator reads logs.
+// A circuit breaker (an iofault.Gate) guards every IO attempt: after
+// threshold consecutive IO errors (reads and writes both count; a
+// missing entry file does not) the tier disables itself -- the memory
+// tier and the engines keep answering, loads miss, saves are skipped
+// and counted as cache.disk_skipped -- and one attempt per probeEvery
+// is let through as a probe. The first probe that succeeds re-enables
+// the tier. The cache.disk_degraded gauge tracks the breaker state,
+// disk_errors / disk_recovered count the transitions' raw material, so
+// /metrics shows a sick disk long before an operator reads logs.
 type diskStore struct {
 	dir  string
 	reg  *metrics.Registry
 	logf func(format string, args ...any) // nil = silent
 
-	mu         sync.Mutex
-	fails      int       // consecutive IO errors
-	disabled   bool      // breaker open
-	nextProbe  time.Time // earliest next attempt while open
-	threshold  int
-	probeEvery time.Duration
+	mu   sync.Mutex
+	gate iofault.Gate
 }
 
 // path names the entry file for a key.
@@ -163,17 +159,12 @@ func (d *diskStore) path(k Key) string {
 // attempt counts as cache.disk_skipped.
 func (d *diskStore) allowAttempt() bool {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.disabled {
-		return true
-	}
-	now := time.Now()
-	if now.Before(d.nextProbe) {
+	ok := d.gate.Allow(time.Now())
+	d.mu.Unlock()
+	if !ok {
 		d.reg.Counter("cache.disk_skipped").Inc()
-		return false
 	}
-	d.nextProbe = now.Add(d.probeEvery)
-	return true
+	return ok
 }
 
 // record feeds one attempt's outcome to the breaker. Decode failures
@@ -183,22 +174,17 @@ func (d *diskStore) record(op string, err error) {
 	var msg string
 	d.mu.Lock()
 	if err == nil {
-		if d.disabled {
-			d.disabled = false
+		if d.gate.OK() {
 			d.reg.Counter("cache.disk_recovered").Inc()
 			d.reg.Gauge("cache.disk_degraded").Set(0)
 			msg = fmt.Sprintf("resultcache: disk tier recovered (probe %s ok)", op)
 		}
-		d.fails = 0
 	} else {
 		d.reg.Counter("cache.disk_errors").Inc()
-		d.fails++
-		if d.fails >= d.threshold && !d.disabled {
-			d.disabled = true
-			d.nextProbe = time.Now().Add(d.probeEvery)
+		if d.gate.Fail(time.Now()) {
 			d.reg.Gauge("cache.disk_degraded").Set(1)
 			msg = fmt.Sprintf("resultcache: disk tier disabled after %d consecutive IO errors (last %s: %v); probing every %s",
-				d.fails, op, err, d.probeEvery)
+				d.gate.Threshold, op, err, d.gate.ProbeEvery)
 		}
 	}
 	d.mu.Unlock()
@@ -209,7 +195,7 @@ func (d *diskStore) record(op string, err error) {
 
 // load reads and validates the key's entry file. Anything unusable --
 // torn, corrupt, version-skewed, or carrying a different key (a renamed
-// file) -- is deleted along with .tmp residue so it can never be
+// file) -- is discarded with its temp residue so it can never be
 // consulted again, and counts as cache.disk_discarded. A read IO error
 // counts as cache.disk_errors and feeds the breaker.
 func (d *diskStore) load(k Key) ([]byte, bool) {
@@ -233,85 +219,47 @@ func (d *diskStore) load(k Key) ([]byte, bool) {
 	return e.Payload, true
 }
 
-// save atomically persists the entry: encode, write to path+".tmp",
-// fsync, rename over path, best-effort directory fsync. A crash
-// mid-write leaves at worst a stale .tmp that the recovery sweep
-// removes; a failed write scrubs its own torn .tmp. Failures count as
+// save atomically persists the entry through iofault.WriteAtomic,
+// directory fsync included. A crash mid-write leaves at worst stale
+// temp residue that the recovery sweep removes. Failures count as
 // cache.disk_errors and feed the breaker.
 func (d *diskStore) save(k Key, payload []byte) error {
 	if !d.allowAttempt() {
 		return nil // breaker open: silently memory-only, counted as skipped
 	}
-	err := d.saveIO(k, payload)
+	err := os.MkdirAll(d.dir, 0o755)
+	if err == nil {
+		err = iofault.WriteAtomic(DiskIOFaultSite, d.path(k), (&Entry{Key: k, Payload: payload}).Encode(), true)
+	}
 	d.record("write", err)
 	return err
 }
 
-// saveIO is the raw atomic write, breaker-free.
-func (d *diskStore) saveIO(k Key, payload []byte) error {
-	if err := os.MkdirAll(d.dir, 0o755); err != nil {
-		return err
-	}
-	data := (&Entry{Key: k, Payload: payload}).Encode()
-	path := d.path(k)
-	tmp := path + ".tmp"
-	f, err := iofault.OpenFile(DiskIOFaultSite, tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := iofault.Rename(DiskIOFaultSite, tmp, path); err != nil {
-		return err
-	}
-	if dir, err := os.Open(d.dir); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
-}
-
 // discard deletes the key's entry file and any torn-write residue.
 func (d *diskStore) discard(k Key) {
-	path := d.path(k)
-	os.Remove(path)
-	os.Remove(path + ".tmp")
+	iofault.Discard(d.path(k))
 	d.reg.Counter("cache.disk_discarded").Inc()
 }
 
-// sweep removes crash residue from the store directory: *.rce.tmp
+// sweep removes crash residue from the store directory: temp files of
 // torn writes, files whose name is not a well-formed key, and entries
 // that fail to decode or whose embedded key disagrees with their name.
 // Valid entries are left in place (they are exactly what restarts warm
-// up from). Returns the number of files removed.
+// up from), and so is any entry that cannot be read: a transient read
+// error (EIO) must never destroy a good entry. Returns the number of
+// files removed.
 func (d *diskStore) sweep() int {
-	removed := 0
-	tmps, _ := filepath.Glob(filepath.Join(d.dir, "*"+entryExt+".tmp"))
-	for _, p := range tmps {
-		if os.Remove(p) == nil {
-			removed++
-		}
-	}
+	removed := iofault.SweepTmp(d.dir, "*"+entryExt)
 	files, _ := filepath.Glob(filepath.Join(d.dir, "*"+entryExt))
 	for _, p := range files {
 		name := filepath.Base(p)
-		k, ok := ParseKey(name[:len(name)-len(entryExt)])
-		if ok {
-			if data, err := os.ReadFile(p); err == nil {
-				if e, err := DecodeEntry(data); err == nil && e.Key == k {
-					continue
-				}
+		if k, ok := ParseKey(name[:len(name)-len(entryExt)]); ok {
+			data, err := iofault.ReadFile(DiskIOFaultSite, p)
+			if err != nil {
+				continue // unreadable is no verdict on the entry
+			}
+			if e, err := DecodeEntry(data); err == nil && e.Key == k {
+				continue
 			}
 		}
 		if os.Remove(p) == nil {

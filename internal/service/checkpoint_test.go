@@ -1,12 +1,15 @@
 package service
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/atpg"
 	"repro/internal/failpoint"
+	"repro/internal/fault"
 	"repro/internal/netlist"
 )
 
@@ -86,6 +89,70 @@ func TestCorruptCheckpointDiscarded(t *testing.T) {
 	ov := waitDone(t, oracle, oid)
 	if ov.Status != StatusDone || !sameResult(t, v.Result, ov.Result) {
 		t.Fatal("corrupt-checkpoint run diverged from the clean oracle")
+	}
+}
+
+// TestDivergentCheckpointDiscarded: a checkpoint that validates but
+// diverges mid-replay (its first two decisions swapped) is installed by
+// the resume attempt, discarded by the run itself and rerun clean: the
+// job completes with the oracle result and both the resume and the
+// discard are counted. The file is planted after Open, so recovery's
+// orphan sweep does not collect it first.
+func TestDivergentCheckpointDiscarded(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{
+		Workers: 1, JournalPath: filepath.Join(dir, "jobs.journal"),
+		CheckpointEvery: 1, DefaultTimeout: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	ckptPath := filepath.Join(dir, "job-000001.ckpt")
+	req := atpgRequest()
+	c, err := netlist.ParseBenchString("job", req.Bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, _ := fault.Collapse(c)
+	opt := req.ATPG.Options()
+	opt.Checkpoint = atpg.CheckpointConfig{Path: ckptPath, Every: 1}
+	if _, err := atpg.RunContext(context.Background(), c, faults, opt); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := atpg.LoadCheckpoint(ckptPath)
+	if err != nil || len(ck.Decided) < 2 {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	ck.Decided[0], ck.Decided[1] = ck.Decided[1], ck.Decided[0]
+	if err := ck.WriteFile(ckptPath); err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != "job-000001" {
+		t.Fatalf("first job is %s; the pre-planted checkpoint misses it", id)
+	}
+	v := waitDone(t, s, id)
+	if v.Status != StatusDone {
+		t.Fatalf("job with a divergent checkpoint finished %s: %s", v.Status, v.Error)
+	}
+	for name, want := range map[string]int64{"atpg.checkpoint.resumed": 1, "atpg.checkpoint.discarded": 1} {
+		if got := s.Metrics().Counter(name).Value(); got != want {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
+	}
+
+	oracle := newTestService(t, Config{Workers: 1, DefaultTimeout: time.Minute})
+	oid, err := oracle.Submit(atpgRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ov := waitDone(t, oracle, oid); ov.Status != StatusDone || !sameResult(t, v.Result, ov.Result) {
+		t.Fatal("divergent-checkpoint run differs from the clean oracle")
 	}
 }
 

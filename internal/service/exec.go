@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -153,14 +152,6 @@ func (s *Service) execATPG(ctx context.Context, id string, req *Request, c *netl
 	if err := s.stage(ctx, "atpg", func() error {
 		var err error
 		res, err = s.runATPG(ctx, c, faults, opt, req)
-		if errors.Is(err, atpg.ErrCheckpointMismatch) {
-			// The file validated but its decision log diverged mid-replay
-			// (hand-edited, or an identity-hash collision): discard it and
-			// run clean rather than fail the job.
-			s.discardCheckpoint(opt.Checkpoint.Path)
-			opt.Checkpoint.ResumeFrom = nil
-			res, err = s.runATPG(ctx, c, faults, opt, req)
-		}
 		return err
 	}); err != nil {
 		return nil, err

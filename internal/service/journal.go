@@ -85,13 +85,13 @@ type journalEntry struct {
 // mode: jobs keep running and their in-memory state stays correct, but
 // lifecycle entries are dropped (counted as journal.dropped_entries)
 // instead of being retried on every transition against a disk that is
-// plainly sick. Once per probeEvery an append doubles as a probe: the
-// file handle is reopened (a stale fd does not outlive a remount) and
-// a lone newline is written first, terminating whatever torn line the
-// original failure left so replay's skip-bad-lines tolerance contains
-// the damage to that one line. The first probe that succeeds drops
-// back to durable mode (journal.recovered). The journal.degraded gauge
-// tracks the state for /metrics.
+// plainly sick (an iofault.Gate, threshold 1). Once per probe interval
+// an append doubles as a probe: the file handle is reopened (a stale fd
+// does not outlive a remount) and a lone newline is written first,
+// terminating whatever torn line the original failure left so replay's
+// skip-bad-lines tolerance contains the damage to that one line. The
+// first probe that succeeds drops back to durable mode
+// (journal.recovered). The journal.degraded gauge tracks the state.
 type journal struct {
 	mu   sync.Mutex
 	f    *iofault.File
@@ -100,10 +100,8 @@ type journal struct {
 	reg  *metrics.Registry
 	log  *logger.Logger // nil-safe
 
-	degraded   bool
-	probeEvery time.Duration
-	lastProbe  time.Time
-	dropped    int64 // entries lost while degraded (also a counter)
+	gate    iofault.Gate
+	dropped int64 // entries lost while degraded (also a counter)
 }
 
 func openJournal(path string, syncEach bool, probeEvery time.Duration, reg *metrics.Registry, log *logger.Logger) (*journal, error) {
@@ -117,7 +115,8 @@ func openJournal(path string, syncEach bool, probeEvery time.Duration, reg *metr
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &journal{f: f, path: path, sync: syncEach, reg: reg, log: log, probeEvery: probeEvery}, nil
+	return &journal{f: f, path: path, sync: syncEach, reg: reg, log: log,
+		gate: iofault.Gate{Threshold: 1, ProbeEvery: probeEvery}}, nil
 }
 
 // append commits one entry. A failpoint-injected error at before-write
@@ -140,11 +139,14 @@ func (j *journal) append(e journalEntry) error {
 	b = append(b, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.degraded {
+	if j.gate.Degraded() {
 		return j.appendDegraded(e, b)
 	}
 	if err := j.write(b); err != nil {
-		j.degrade(e, err)
+		j.gate.Fail(time.Now()) // threshold 1: memory-only from here on
+		j.reg.Gauge("journal.degraded").Set(1)
+		j.log.Warnf("id=%s job=%s journal degraded (memory-only): %s write failed: %v; re-probing every %s",
+			e.ReqID, e.ID, e.Event, err, j.gate.ProbeEvery)
 		return fmt.Errorf("service: write journal: %w", err)
 	}
 	return failpoint.Inject(fpJournalAfterWrite)
@@ -162,56 +164,46 @@ func (j *journal) write(b []byte) error {
 	return nil
 }
 
-// degrade flips to memory-only mode. Caller holds mu.
-func (j *journal) degrade(e journalEntry, err error) {
-	j.degraded = true
-	j.lastProbe = time.Now()
-	j.reg.Gauge("journal.degraded").Set(1)
-	j.log.Warnf("id=%s job=%s journal degraded (memory-only): %s write failed: %v; re-probing every %s",
-		e.ReqID, e.ID, e.Event, err, j.probeEvery)
-}
-
-// appendDegraded drops the entry unless a probe is due; a due probe
-// reopens the file, repairs any torn tail, and writes the entry for
-// real. Caller holds mu.
+// appendDegraded drops the entry unless a probe is due and succeeds.
+// Caller holds mu.
 func (j *journal) appendDegraded(e journalEntry, b []byte) error {
-	now := time.Now()
-	if now.Sub(j.lastProbe) < j.probeEvery {
+	if !j.gate.Allow(time.Now()) || !j.probe(b) {
 		j.dropped++
 		j.reg.Counter("journal.dropped_entries").Inc()
 		return nil
 	}
-	j.lastProbe = now
-	f, err := iofault.OpenFile(journalIOFaultSite, j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		j.dropped++
-		j.reg.Counter("journal.dropped_entries").Inc()
-		return nil
-	}
-	old := j.f
-	j.f = f
-	// Terminate whatever torn line the original failure left behind: an
-	// empty line is skipped by replay, a half line would otherwise fuse
-	// with this entry and corrupt both.
-	werr := j.write([]byte("\n"))
-	if werr == nil {
-		werr = j.write(b)
-	}
-	if werr != nil {
-		j.f = old
-		f.Close()
-		j.dropped++
-		j.reg.Counter("journal.dropped_entries").Inc()
-		return nil
-	}
-	old.Close()
-	j.degraded = false
+	j.gate.OK()
 	j.reg.Gauge("journal.degraded").Set(0)
 	j.reg.Counter("journal.recovered").Inc()
 	j.log.Warnf("id=%s job=%s journal recovered to durable mode; %d entries dropped while degraded",
 		e.ReqID, e.ID, j.dropped)
 	j.dropped = 0
 	return nil
+}
+
+// probe reopens the file, repairs any torn tail and writes b for real,
+// keeping the old handle when any step fails. Caller holds mu.
+func (j *journal) probe(b []byte) bool {
+	f, err := iofault.OpenFile(journalIOFaultSite, j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return false
+	}
+	old := j.f
+	j.f = f
+	// Terminate whatever torn line the original failure left behind: an
+	// empty line is skipped by replay, a half line would otherwise fuse
+	// with this entry and corrupt both.
+	err = j.write([]byte("\n"))
+	if err == nil {
+		err = j.write(b)
+	}
+	if err != nil {
+		j.f = old
+		f.Close()
+		return false
+	}
+	old.Close()
+	return true
 }
 
 func (j *journal) Close() error {

@@ -30,6 +30,7 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/failpoint"
 	"repro/internal/httpmw"
+	"repro/internal/iofault"
 	"repro/internal/logger"
 	"repro/internal/metrics"
 	"repro/internal/resultcache"
@@ -259,7 +260,7 @@ func Open(cfg Config) (*Service, error) {
 			ccfg.Logf = s.log.Warnf
 		}
 		s.cache = resultcache.New(ccfg)
-		// Recovery for the durable tier: collect torn .tmp residue and
+		// Recovery for the durable tier: collect torn temp residue and
 		// entries that no longer validate before anything consults them.
 		if cfg.CacheDir != "" {
 			s.cache.Sweep()
@@ -410,19 +411,8 @@ func (s *Service) checkpointConfig(id string) atpg.CheckpointConfig {
 	}
 }
 
-// discardCheckpoint deletes a checkpoint the service decided not to
-// trust (plus any torn-write residue) and counts the discard.
-func (s *Service) discardCheckpoint(path string) {
-	if path == "" {
-		return
-	}
-	os.Remove(path)
-	os.Remove(path + ".tmp")
-	s.reg.Counter("atpg.checkpoint.discarded").Inc()
-}
-
 // removeCheckpoint deletes a terminal job's checkpoint file and any
-// .tmp residue. The service.checkpoint.before-remove failpoint lets
+// temp residue. The service.checkpoint.before-remove failpoint lets
 // chaos tests simulate a crash that journals the terminal state but
 // dies before this cleanup; recovery's orphan sweep then collects it.
 func (s *Service) removeCheckpoint(id string) {
@@ -433,13 +423,12 @@ func (s *Service) removeCheckpoint(id string) {
 	if failpoint.Inject("service.checkpoint.before-remove") != nil {
 		return
 	}
-	os.Remove(path)
-	os.Remove(path + ".tmp")
+	iofault.Discard(path)
 }
 
 // sweepCheckpoints runs at recovery, after the journal replay settled
 // every job's fate: it deletes checkpoint residue that must not be
-// trusted -- *.ckpt.tmp torn-write leftovers, and *.ckpt files whose
+// trusted -- temp residue of torn writes, and *.ckpt files whose
 // job is unknown to the journal or already terminal (a crash landed
 // between the terminal journal entry and the file cleanup). Files of
 // jobs being re-queued survive: they are exactly what the retries
@@ -448,10 +437,7 @@ func (s *Service) removeCheckpoint(id string) {
 // wedge recovery, at worst it costs one clean restart of that job.
 func (s *Service) sweepCheckpoints() {
 	dir := filepath.Dir(s.cfg.JournalPath)
-	tmps, _ := filepath.Glob(filepath.Join(dir, "*.ckpt.tmp"))
-	for _, p := range tmps {
-		os.Remove(p)
-	}
+	iofault.SweepTmp(dir, "*.ckpt")
 	files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	discarded := 0
 	for _, p := range files {

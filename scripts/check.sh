@@ -59,9 +59,11 @@ echo "== go test -race (iofault chaos: ENOSPC/EIO/torn writes at journal, checkp
 # The degraded-mode gate: every write-path op of every durability site
 # fails and the job must still complete byte-identical to a fault-free
 # run while the site's degraded signal (journal.degraded,
-# atpg.checkpoint.errors, cache.disk_errors) fires.
-go test -race -count=1 -run 'TestDurabilityFaultsNeverFailJobs|TestJournalDegraded|TestDiskBreaker|TestInjectedFaults|TestPartialWrite' \
-    ./internal/service/ ./internal/resultcache/ ./internal/iofault/
+# atpg.checkpoint.errors, cache.disk_errors) fires. The atomic-replace
+# protocol, the degraded-disk gate and the recovery sweeps are covered
+# at the iofault layer and at every site that uses them.
+go test -race -count=1 -run 'TestDurabilityFaultsNeverFailJobs|TestJournalDegraded|TestDiskBreaker|TestInjectedFaults|TestPartialWrite|TestWriteAtomic|TestGateTransitions|TestDiscardAndSweepTmp|TestSweepKeepsEntriesOnReadError|TestTornTmpWriteNeverCorruptsCheckpoint|TestTryResumeKeepsFileOnReadError|TestFailpointCheckpointAfterTmpIsRenamePoint' \
+    ./internal/service/ ./internal/resultcache/ ./internal/iofault/ ./internal/atpg/
 
 echo "== go test -race (watchdog stall smoke: wedged checkpoint write -> requeue -> byte-identical)"
 # A job wedged mid-run (blocked checkpoint write) must be detected by
@@ -73,8 +75,11 @@ go test -race -count=1 -run 'TestWatchdog' ./internal/service/
 echo "== go test -race -short (checkpoint kill/resume chaos: crash anywhere, resume, byte-identical)"
 # -short samples 3 kill points per snapshot set and workers {1,4}; the
 # plain tier-1 pass (and a nightly run without -short) widens to up to
-# 10 kill points and workers {1,2,4}.
+# 10 kill points and workers {1,2,4}. A checkpoint that validates but
+# diverges mid-replay must be discarded and rerun clean at every entry
+# point (RunContext, candidates, the facade, the Fig. 6 flow).
 go test -race -short -count=1 -run 'TestCheckpoint' ./internal/atpg/
+go test -race -short -count=1 -run 'TestDivergentCheckpointRerunsClean' .
 
 echo "== go test -race"
 go test -race -short ./...
