@@ -332,40 +332,6 @@ func BenchmarkAblationCompaction(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMinPeriodAlgorithm compares the exact W/D-matrix
-// minimum-period algorithm against the conservative FEAS iteration.
-func BenchmarkAblationMinPeriodAlgorithm(b *testing.B) {
-	g := retime.FromCircuit(netlist.Fig2C1())
-	// A mid-sized graph exercises the asymptotics better.
-	variant := experiments.TableIIVariants()[1] // pma.jo.sd
-	c, err := variant.Synthesize()
-	if err != nil {
-		b.Fatal(err)
-	}
-	gBig := retime.FromCircuit(c)
-	b.Run("wd/small", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := g.MinPeriodWD(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("wd/pma", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := gBig.MinPeriodWD(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("feas/pma", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := gBig.MinPeriod(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationGenerator compares the three test-generation
 // engines on one circuit: structural (HITEC-style), simulation-based
 // (GATEST-style genetic) and full-scan (the DFT baseline the paper's

@@ -118,7 +118,7 @@ var forwardMoveVariants = map[string]int{
 }
 
 // SpeedRetime is the harness's stand-in for a production performance
-// retimer (the paper used SIS): FEAS minimum-period retiming, followed
+// retimer (the paper used SIS): exact minimum-period retiming, followed
 // by period-preserving slack-balancing backward passes that bury the
 // register rank inside the next-state logic, and -- for the variants the
 // paper reports prefix vectors for -- a forward move across the widest

@@ -6,8 +6,9 @@
 //
 // The package converts gate-level netlists to retiming graphs and back
 // (tracking which fault sites lie on which graph edge, the provenance
-// the paper's corresponding-fault construction needs), computes
-// minimum-clock-period retimings with the FEAS iteration, reduces
+// the paper's corresponding-fault construction needs), computes exact
+// minimum-clock-period retimings with the W/D-matrix algorithm (the
+// FEAS iteration for graphs beyond MaxWDVertices), reduces
 // register counts with a legal-move hill climber, and decomposes any
 // retiming into counts of atomic forward/backward moves per vertex --
 // the quantity that determines the paper's prefix-sequence length.

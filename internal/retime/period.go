@@ -2,6 +2,7 @@ package retime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -109,15 +110,18 @@ func (g *Graph) MinPeriod() (Retiming, int, error) {
 }
 
 // MinPeriodContext is MinPeriod with cooperative cancellation, checked
-// before the exact W/D solve and once per binary-search round of the
-// FEAS fallback.
+// before the W/D matrices are built, before every binary-search probe
+// of the W/D search and once per binary-search round of the FEAS
+// fallback. A cancelled W/D search returns ctx's error; it never falls
+// back to FEAS.
 func (g *Graph) MinPeriodContext(ctx context.Context) (Retiming, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
 	if len(g.Verts) <= MaxWDVertices {
-		if r, p, err := g.MinPeriodWD(); err == nil {
-			return r, p, nil
+		r, p, err := g.minPeriodWD(ctx)
+		if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return r, p, err
 		}
 	}
 	return g.minPeriodFEAS(ctx)

@@ -1,7 +1,7 @@
 package retime
 
 // This file provides the period-preserving register-movement passes the
-// experiment harness combines with FEAS into its stand-in for a
+// experiment harness combines with MinPeriod into its stand-in for a
 // production performance retimer. FSM-style circuits are usually
 // already period-optimal (their critical path is the state loop, whose
 // delay-per-register no retiming can change), yet the paper's Table II

@@ -2,6 +2,7 @@ package retime
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,7 +53,7 @@ func TestMinPeriodWDMatchesFEASFig2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pFEAS, err := g.MinPeriod()
+	_, pFEAS, err := g.minPeriodFEAS(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +102,47 @@ func TestMinPeriodWDvsFEASProperty(t *testing.T) {
 			if _, p, ok := g.Delta(rp.r); !ok || p > rp.p {
 				t.Fatalf("%s/%s: retiming exceeds claim: %d > %d", c.Name, name, p, rp.p)
 			}
+		}
+	}
+}
+
+// flipCtx is a context whose Err turns to context.Canceled on call
+// after+1 and stays so; calls counts every Err call.
+type flipCtx struct {
+	context.Context
+	after, calls int
+}
+
+func (c *flipCtx) Err() error {
+	c.calls++
+	if c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestMinPeriodContextCancelsInsideWD cancels the W/D search before
+// each of its binary-search probes in turn: MinPeriodContext must
+// return context.Canceled at once, without the FEAS fallback (which
+// would consult ctx again).
+func TestMinPeriodContextCancelsInsideWD(t *testing.T) {
+	g := FromCircuit(netlist.Fig2C1())
+	// An uncancelled run counts the checks: one on entry, one per probe.
+	full := &flipCtx{Context: context.Background(), after: math.MaxInt}
+	if _, p, err := g.MinPeriodContext(full); err != nil || p != 3 {
+		t.Fatalf("uncancelled search: period %d, err %v", p, err)
+	}
+	if full.calls < 3 {
+		t.Fatalf("only %d ctx checks; want the entry check plus one per probe", full.calls)
+	}
+	for after := 1; after < full.calls; after++ {
+		ctx := &flipCtx{Context: context.Background(), after: after}
+		r, _, err := g.MinPeriodContext(ctx)
+		if !errors.Is(err, context.Canceled) || r != nil {
+			t.Fatalf("cancel after %d checks: got (%v, %v), want context.Canceled", after, r, err)
+		}
+		if ctx.calls != after+1 {
+			t.Fatalf("cancel after %d checks: ctx consulted %d times, want %d (no FEAS fallback)", after, ctx.calls, after+1)
 		}
 	}
 }

@@ -453,12 +453,17 @@ func (j *Job) cancelPending() bool {
 // context.Canceled, failed otherwise. The returned changed flag is
 // false when the job was already terminal (finish is then a no-op), so
 // callers never double-count metrics or double-journal transitions.
-func (j *Job) finish(res *Result, err error) (status Status, dur time.Duration, changed bool) {
+// beforeTerminal runs under j.mu once the job is known to be
+// finishing, before the terminal status becomes visible: whatever it
+// cleans up is gone by the time any view reports the job terminal. It
+// must not touch the job itself.
+func (j *Job) finish(res *Result, err error, beforeTerminal func()) (status Status, dur time.Duration, changed bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status.Terminal() {
 		return j.status, 0, false
 	}
+	beforeTerminal()
 	j.finished = time.Now()
 	j.cancel = nil
 	switch {

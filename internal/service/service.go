@@ -411,10 +411,11 @@ func (s *Service) checkpointConfig(id string) atpg.CheckpointConfig {
 	}
 }
 
-// removeCheckpoint deletes a terminal job's checkpoint file and any
+// removeCheckpoint deletes a finishing job's checkpoint file and any
 // temp residue. The service.checkpoint.before-remove failpoint lets
-// chaos tests simulate a crash that journals the terminal state but
-// dies before this cleanup; recovery's orphan sweep then collects it.
+// chaos tests simulate a crash that skips this cleanup yet still
+// journals the terminal state; recovery's orphan sweep then collects
+// the file.
 func (s *Service) removeCheckpoint(id string) {
 	path := s.checkpointPath(id)
 	if path == "" {
@@ -429,8 +430,8 @@ func (s *Service) removeCheckpoint(id string) {
 // sweepCheckpoints runs at recovery, after the journal replay settled
 // every job's fate: it deletes checkpoint residue that must not be
 // trusted -- temp residue of torn writes, and *.ckpt files whose
-// job is unknown to the journal or already terminal (a crash landed
-// between the terminal journal entry and the file cleanup). Files of
+// job is unknown to the journal or already terminal (a crash skipped
+// or tore the cleanup that precedes the terminal journal entry). Files of
 // jobs being re-queued survive: they are exactly what the retries
 // resume from. Discarded .ckpt files count toward
 // atpg.checkpoint.discarded; an orphaned file can therefore never
@@ -808,7 +809,10 @@ func (s *Service) finishJob(j *Job, res *Result, err error) {
 	if j == nil {
 		return
 	}
-	status, dur, changed := j.finish(res, err)
+	// A job that reached a terminal state will never resume; its
+	// checkpoint (if any) is dead weight. It goes before the terminal
+	// status is published, so no observer of a finished job sees it.
+	status, dur, changed := j.finish(res, err, func() { s.removeCheckpoint(j.id) })
 	if !changed {
 		return
 	}
@@ -824,9 +828,6 @@ func (s *Service) finishJob(j *Job, res *Result, err error) {
 		s.reg.Counter("jobs.failed." + kind).Inc()
 		s.journalAppend(journalEntry{Event: evFailed, ID: j.id, Error: err.Error()})
 	}
-	// A job that reached a terminal state will never resume; its
-	// checkpoint (if any) is dead weight.
-	s.removeCheckpoint(j.id)
 	s.reg.Histogram("jobs.latency." + kind).Observe(dur)
 	// The kind-agnostic aggregate feeds the RetryAfter backlog estimate.
 	s.reg.Histogram("jobs.latency").Observe(dur)

@@ -37,6 +37,14 @@ echo "== go test -race -short (fault-sharded ATPG determinism, PODEM implication
 # `go test ./...` tier-1 pass; drop -short here for a nightly run.
 go test -race -short -count=1 -run 'TestParallel|TestTheorem|TestEventDrivenImplication|TestPinnedResultDigests' ./internal/atpg/ ./internal/verify/
 
+echo "== go test (min-period retiming byte-identity: Bellman-Ford oracle, pinned Table II digests)"
+# The W/D minimum-period search stops a probe at the first negative
+# cycle in its predecessor graph; at every candidate period of 300
+# seeded random circuits it must return the same verdict and retiming
+# as the plain n-pass Bellman-Ford oracle, and the min-period circuits
+# of dk16.ji.sd and pma.jo.sd must hash to their pinned digests.
+go test -count=1 -run 'TestFeasibleWDMatchesOracle|TestMinPeriodPinnedDigests|TestMinPeriodContextCancelsInsideWD|TestMinPeriodWDMatchesFEASFig2' ./internal/retime/
+
 echo "== go test -race (dispatch fan-out: retry ladder, migration, degrade, byte-identity at 1/2/4 backends)"
 # The distributed chaos gate: failpoint-driven {first-try success,
 # retry-then-success, migrate-after-kill, all-backends-down degrade},
@@ -64,6 +72,11 @@ echo "== go test -race (iofault chaos: ENOSPC/EIO/torn writes at journal, checkp
 # at the iofault layer and at every site that uses them.
 go test -race -count=1 -run 'TestDurabilityFaultsNeverFailJobs|TestJournalDegraded|TestDiskBreaker|TestInjectedFaults|TestPartialWrite|TestWriteAtomic|TestGateTransitions|TestDiscardAndSweepTmp|TestSweepKeepsEntriesOnReadError|TestTornTmpWriteNeverCorruptsCheckpoint|TestTryResumeKeepsFileOnReadError|TestFailpointCheckpointAfterTmpIsRenamePoint' \
     ./internal/service/ ./internal/resultcache/ ./internal/iofault/ ./internal/atpg/
+
+echo "== go test -race -count=300 (terminal jobs never show their checkpoint)"
+# finishJob removes the checkpoint before the terminal status becomes
+# visible; a reader that sees the job done must never find the file.
+go test -race -count=300 -run 'TestCorruptCheckpointDiscarded$' ./internal/service/
 
 echo "== go test -race (watchdog stall smoke: wedged checkpoint write -> requeue -> byte-identical)"
 # A job wedged mid-run (blocked checkpoint write) must be detected by
