@@ -280,7 +280,7 @@ func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Op
 		// run replays it in full instead of persisting PRNG state; the
 		// grader walks the identical sequence of operations either way.
 		randomDone := 0
-		rngSeq := randomSequences(len(c.Inputs), opt)
+		rngSeq := RandomSequences(len(c.Inputs), opt)
 		for _, seq := range rngSeq {
 			if err := ctx.Err(); err != nil {
 				return finish(err)
@@ -415,12 +415,13 @@ func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Op
 	return finish(nil)
 }
 
-// randomSequences builds the deterministic random-phase stimuli. Each
+// RandomSequences builds the deterministic random-phase stimuli. Each
 // sequence draws every input from its own random bias in {10%, 50%,
 // 90%}; weighted patterns exercise control-like inputs (reset lines,
 // enables) far better than uniform ones, which would keep resetting the
-// machine under test.
-func randomSequences(inputs int, opt Options) []sim.Seq {
+// machine under test. It is exported so fault-simulation benchmarks and
+// digests can replay the exact random phase of a run.
+func RandomSequences(inputs int, opt Options) []sim.Seq {
 	rng := newSplitMix(uint64(opt.RandomSeed))
 	seqs := make([]sim.Seq, opt.RandomCount)
 	for i := range seqs {

@@ -113,7 +113,7 @@ func ShardCheckpoint(c *netlist.Circuit, faults []fault.Fault, opt Options, deci
 func RandomSurvivors(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options) ([]fault.Fault, error) {
 	g := newSimGrader(c, faults)
 	if opt.RandomPhase && opt.RandomCount > 0 && opt.RandomLength > 0 {
-		for _, seq := range randomSequences(len(c.Inputs), opt) {
+		for _, seq := range RandomSequences(len(c.Inputs), opt) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}

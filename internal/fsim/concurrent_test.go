@@ -11,6 +11,16 @@ import (
 	"repro/internal/sim"
 )
 
+// runParallel fault-simulates with one worker goroutine per processor,
+// each owning a private event-driven engine and draining 63-fault
+// groups from a shared index, however short the fault list.
+func runParallel(c *netlist.Circuit, faults []fault.Fault, seq sim.Seq) *Result {
+	s := NewSimulator(c, faults)
+	s.forceParallel = runtime.GOMAXPROCS(0) > 1
+	s.Simulate(seq)
+	return s.Result()
+}
+
 // TestParallelMatchesSequential checks the acceptance criterion: the
 // concurrent engine produces identical DetectedAt maps on randomized
 // circuits, including fault lists large enough to span many groups.
@@ -28,7 +38,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		seq := randomSeq(rng, len(c.Inputs), 40)
 
 		seqRes := RunSequential(c, faults, seq)
-		parRes := RunParallel(c, faults, seq)
+		parRes := runParallel(c, faults, seq)
 		if len(seqRes.DetectedAt) != len(parRes.DetectedAt) {
 			t.Fatalf("trial %d: detected %d sequential vs %d parallel",
 				trial, len(seqRes.DetectedAt), len(parRes.DetectedAt))
@@ -70,12 +80,12 @@ func TestRunDispatch(t *testing.T) {
 func TestParallelEmptyAndTinyLists(t *testing.T) {
 	c := netlist.Fig2C1()
 	seq := randomSeq(rand.New(rand.NewSource(3)), len(c.Inputs), 10)
-	if res := RunParallel(c, nil, seq); res.Detected() != 0 {
+	if res := runParallel(c, nil, seq); res.Detected() != 0 {
 		t.Fatal("empty fault list detected faults")
 	}
 	faults := fault.Universe(c)[:1]
 	seqRes := RunSequential(c, faults, seq)
-	parRes := RunParallel(c, faults, seq)
+	parRes := runParallel(c, faults, seq)
 	if seqRes.Detected() != parRes.Detected() {
 		t.Fatalf("single fault: %d vs %d", seqRes.Detected(), parRes.Detected())
 	}
@@ -108,7 +118,7 @@ func BenchmarkFsimParallel(b *testing.B) {
 	c, faults, seq := benchWorkload(b)
 	b.Run(fmt.Sprintf("procs=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			RunParallel(c, faults, seq)
+			runParallel(c, faults, seq)
 		}
 	})
 }

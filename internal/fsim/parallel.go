@@ -3,7 +3,6 @@ package fsim
 import (
 	"context"
 	"math/bits"
-	"runtime"
 
 	"repro/internal/fault"
 	"repro/internal/logic"
@@ -73,26 +72,6 @@ func Run(c *netlist.Circuit, faults []fault.Fault, seq sim.Seq) *Result {
 // detections of the processed prefix) together with the context error.
 func RunContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, seq sim.Seq) (*Result, error) {
 	s := NewSimulator(c, faults)
-	_, err := s.SimulateContext(ctx, seq)
-	return s.Result(), err
-}
-
-// RunParallel fault-simulates with one worker goroutine per processor,
-// each owning a private event-driven engine and draining 63-fault
-// groups from a shared index. A group writes DetectedAt entries only
-// for its own faults, so per-worker partial results merge without
-// conflicts and DetectedAt is identical to the sequential run for every
-// fault.
-func RunParallel(c *netlist.Circuit, faults []fault.Fault, seq sim.Seq) *Result {
-	res, _ := RunParallelContext(context.Background(), c, faults, seq)
-	return res
-}
-
-// RunParallelContext is RunParallel with cooperative cancellation,
-// checked once per 128-cycle block between worker fan-outs.
-func RunParallelContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, seq sim.Seq) (*Result, error) {
-	s := NewSimulator(c, faults)
-	s.forceParallel = runtime.GOMAXPROCS(0) > 1
 	_, err := s.SimulateContext(ctx, seq)
 	return s.Result(), err
 }

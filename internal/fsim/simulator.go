@@ -30,6 +30,14 @@ import (
 // independent sequence applied to an unsynchronized machine), or Rearm
 // to forget every verdict and start over on the full fault list.
 //
+// Gates with at most two fanins -- every gate of the synthesized
+// Table II circuits -- evaluate through the flat gate kernel (prog's
+// per-gate op/fanin table) in the good-machine sweep, in event-driven
+// cycles and in dense cycles; a group whose previous cycle evaluated
+// more than half of the gates sweeps its next cycle densely instead of
+// scheduling events (see eventEngine). Neither changes a detection or
+// a Stats counter.
+//
 // All scratch state -- the per-worker event engines and their overlay
 // and injection arenas, the good-machine trajectory buffers, the
 // per-group detection lists, and the group structures themselves -- is
@@ -77,7 +85,7 @@ type Simulator struct {
 	donorBuf  []*group
 
 	// forceParallel widens the worker pool regardless of the live fault
-	// count (RunParallel semantics); used by tests and RunParallel.
+	// count; tests set it to exercise the parallel path on short lists.
 	forceParallel bool
 	// maxWorkers caps the internal group-worker pool (0 = automatic
 	// GOMAXPROCS sizing); see SetMaxWorkers.
@@ -326,7 +334,7 @@ func (s *Simulator) computeGood(block sim.Seq) {
 			row[id] = s.goodState[i]
 		}
 		for _, id := range s.goodOrder {
-			row[id] = p.eval(id, row, nil, 0)
+			row[id] = p.evalGood(id, row)
 		}
 		for i, id := range c.DFFs {
 			s.goodState[i] = row[c.Nodes[id].Fanin[0]]

@@ -283,6 +283,18 @@ func (c *Cache) Get(k Key) (payload []byte, src Source, ok bool) {
 	return nil, SourceNone, false
 }
 
+// peek returns the key's memory-tier payload without touching recency,
+// the disk store or the hit/miss counters.
+func (c *Cache) peek(k Key) ([]byte, bool) {
+	sh := c.shard(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if el, ok := sh.items[k]; ok {
+		return el.Value.(*memEntry).payload, true
+	}
+	return nil, false
+}
+
 // Put stores the payload under the key in the memory tier and, when
 // configured, the disk store (which counts its own failures as
 // cache.disk_errors and may be breaker-disabled). The payload must not
@@ -422,6 +434,14 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func() ([]byte, error)) (
 			case <-ctx.Done():
 				return nil, SourceNone, ctx.Err()
 			}
+		}
+		// A leader stores its payload before it removes its flight, so
+		// one may have settled between the Get above and this lock: look
+		// in the memory tier again before computing a second time.
+		if payload, ok := c.peek(k); ok {
+			c.flightMu.Unlock()
+			c.reg.Counter("cache.hits").Inc()
+			return payload, SourceMemory, nil
 		}
 		f := &flight{done: make(chan struct{}), err: errFlightAborted}
 		c.flights[k] = f

@@ -444,3 +444,35 @@ func TestConcurrentHammer(t *testing.T) {
 		t.Fatal("hammer left undecodable files behind")
 	}
 }
+
+// TestSingleFlightSettleRace races callers against a leader that
+// settles at once. A caller that misses the cache just before the
+// leader stores and then finds no flight must take the stored payload,
+// not lead a second computation: every round computes exactly once.
+func TestSingleFlightSettleRace(t *testing.T) {
+	c := New(Config{})
+	for round := 0; round < 3000; round++ {
+		k := key(1000 + round)
+		var computes atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, _, err := c.Do(context.Background(), k, func() ([]byte, error) {
+					computes.Add(1)
+					return []byte("answer"), nil
+				}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := computes.Load(); got != 1 {
+			t.Fatalf("round %d computed %d times", round, got)
+		}
+	}
+}

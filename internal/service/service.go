@@ -199,6 +199,11 @@ type Service struct {
 	timers map[string]*time.Timer // recovered jobs waiting out a retry backoff
 	done   chan struct{}          // closed once the pool has fully drained
 	wdDone chan struct{}          // closed when the watchdog loop exits; nil when disabled
+
+	// abandoned counts attempts whose worker gave up on them after a
+	// watchdog stall and that are still unwinding; shutdown waits for
+	// them (see waitAbandoned).
+	abandoned sync.WaitGroup
 }
 
 // New starts a service with cfg.Workers worker goroutines. It panics
@@ -686,6 +691,7 @@ func (s *Service) shutdown(ctx context.Context) error {
 	if s.wdDone != nil {
 		<-s.wdDone // no scan may trip jobs once shutdown returns
 	}
+	s.waitAbandoned(ctx)
 	if s.jrnl != nil {
 		s.jrnl.Close()
 	}
@@ -730,13 +736,20 @@ func (s *Service) worker() {
 	}
 }
 
+// outcome is what one attempt's computation goroutine hands back.
+type outcome struct {
+	res *Result
+	err error
+}
+
 // runJob executes one job attempt under its deadline. The computation
 // runs on a child goroutine so a panicking stage (chaos-injected or
 // real) unwinds into a failed job instead of taking the worker down;
 // the worker *joins* that goroutine -- cancellation and deadlines
 // propagate through the library's cooperative checks, so an
 // interrupted stage returns within one check interval and nothing
-// leaks.
+// leaks. The one exception is a watchdog stall, where the worker moves
+// on and hands the goroutine to abandon.
 func (s *Service) runJob(j *Job) {
 	timeout := s.cfg.DefaultTimeout
 	if j.req.TimeoutMS > 0 {
@@ -759,10 +772,6 @@ func (s *Service) runJob(j *Job) {
 	s.reg.Gauge("workers.busy").Add(1)
 	defer s.reg.Gauge("workers.busy").Add(-1)
 
-	type outcome struct {
-		res *Result
-		err error
-	}
 	done := make(chan outcome, 1)
 	go func() {
 		defer func() {
@@ -795,10 +804,11 @@ func (s *Service) runJob(j *Job) {
 		s.finishJob(j, o.res, o.err)
 	case <-j.stallChan():
 		// The watchdog declared this attempt stuck. Abandon the wedged
-		// computation -- done is buffered, so the goroutine cannot leak
-		// once it unwinds into its cancelled context -- and route the job
-		// back through the retry ladder; the next attempt resumes from
-		// the last durable checkpoint.
+		// computation and route the job back through the retry ladder;
+		// the next attempt resumes from the last durable checkpoint. The
+		// abandoned goroutine stays tracked until it unwinds into its
+		// cancelled context, so shutdown can wait for it.
+		s.abandon(done)
 		s.requeueOrFail(j)
 	}
 }

@@ -18,7 +18,11 @@ import (
 // same capped, jittered retry ladder crash recovery uses -- resuming
 // from its durable checkpoint, so the work already done is kept.
 // Detections count as service.watchdog.stalled, successful requeues as
-// service.watchdog.requeued.
+// service.watchdog.requeued. An abandoned attempt keeps running until
+// its next cooperative check sees the cancelled context; the
+// service.watchdog.abandoned gauge counts those still unwinding, and
+// shutdown waits up to one window for them, so none still writes into
+// the checkpoint directory once Close returns.
 
 // jobCtxKey carries the running *Job through the attempt's context so
 // stage boundaries can stamp heartbeats without threading the job
@@ -115,4 +119,44 @@ func (s *Service) requeueOrFail(j *Job) {
 	}
 	s.timers[j.id] = time.AfterFunc(delay, func() { s.retryEnqueue(j) })
 	s.mu.Unlock()
+}
+
+// abandon tracks an attempt goroutine its worker stopped waiting for.
+// done is the attempt's buffered outcome channel, which receives
+// exactly once when the goroutine finishes.
+func (s *Service) abandon(done <-chan outcome) {
+	g := s.reg.Gauge("service.watchdog.abandoned")
+	g.Add(1)
+	s.abandoned.Add(1)
+	go func() {
+		<-done
+		g.Add(-1)
+		s.abandoned.Done()
+	}()
+}
+
+// waitAbandoned gives abandoned attempts up to one watchdog window to
+// unwind, cut short when the shutdown context (nil for Close) expires
+// first. Stragglers stay counted in service.watchdog.abandoned. Only
+// workers abandon attempts, and shutdown calls this after the workers
+// have exited, so no abandon races the wait.
+func (s *Service) waitAbandoned(ctx context.Context) {
+	if s.cfg.WatchdogWindow <= 0 {
+		return
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	unwound := make(chan struct{})
+	go func() {
+		s.abandoned.Wait()
+		close(unwound)
+	}()
+	t := time.NewTimer(s.cfg.WatchdogWindow)
+	defer t.Stop()
+	select {
+	case <-unwound:
+	case <-t.C:
+	case <-ctx.Done():
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -142,5 +143,50 @@ func TestWatchdogGivesUpAtMaxAttempts(t *testing.T) {
 	}
 	if got := reg.Counter("service.watchdog.requeued").Value(); got != 1 {
 		t.Fatalf("watchdog.requeued = %d, want 1 (the second stall gives up)", got)
+	}
+}
+
+// TestWatchdogCloseWaitsForAbandonedAttempts checks that shutdown joins
+// the attempts the watchdog abandoned: while the wedged attempt is
+// parked the service.watchdog.abandoned gauge counts it, and once it is
+// released Close returns only after it has unwound, so nothing is
+// still writing checkpoints into the service's directories.
+func TestWatchdogCloseWaitsForAbandonedAttempts(t *testing.T) {
+	t.Cleanup(failpoint.DisableAll)
+	reg := metrics.NewRegistry()
+	s := watchdogService(t, reg, 1)
+
+	var calls atomic.Int64
+	block := make(chan struct{})
+	var release sync.Once
+	t.Cleanup(func() { release.Do(func() { close(block) }) })
+	failpoint.Enable(atpg.FailpointCheckpointBeforeWrite, func() error {
+		if calls.Add(1) == 3 {
+			<-block
+		}
+		return nil
+	})
+
+	id, err := s.Submit(atpgRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	v, err := s.Wait(ctx, id)
+	if err != nil {
+		t.Fatalf("job never reached terminal state: %v (status %s)", err, v.Status)
+	}
+	if v.Status != StatusFailed || !strings.Contains(v.Error, "stalled") {
+		t.Fatalf("status = %s (%q), want failed with a stall error", v.Status, v.Error)
+	}
+	abandoned := reg.Gauge("service.watchdog.abandoned")
+	if got := abandoned.Value(); got != 1 {
+		t.Fatalf("watchdog.abandoned = %d while the attempt is parked, want 1", got)
+	}
+	release.Do(func() { close(block) })
+	s.Close()
+	if got := abandoned.Value(); got != 0 {
+		t.Fatalf("watchdog.abandoned = %d after Close, want 0", got)
 	}
 }

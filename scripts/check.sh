@@ -45,6 +45,15 @@ echo "== go test (min-period retiming byte-identity: Bellman-Ford oracle, pinned
 # of dk16.ji.sd and pma.jo.sd must hash to their pinned digests.
 go test -count=1 -run 'TestFeasibleWDMatchesOracle|TestMinPeriodPinnedDigests|TestMinPeriodContextCancelsInsideWD|TestMinPeriodWDMatchesFEASFig2' ./internal/retime/
 
+echo "== go test (fault-simulation byte-identity: dense/sparse counter-exact gate, pinned random-phase digests)"
+# The event-driven engine sweeps a group's cycle densely once most of
+# the circuit diverges. Over 200 seeded random circuits, forced-sparse,
+# forced-dense and adaptive engines must match the full-sweep oracle's
+# DetectedAt with identical Stats, and the random phase of three
+# Table II circuits must hash to its pinned digest (newly-detected
+# lists per sequence plus Stats).
+go test -count=1 -run 'TestFlatKernelMatchesEvalW|TestDenseCycleCounterExact|TestRandomPhasePinnedDigests' ./internal/fsim/
+
 echo "== go test -race (dispatch fan-out: retry ladder, migration, degrade, byte-identity at 1/2/4 backends)"
 # The distributed chaos gate: failpoint-driven {first-try success,
 # retry-then-success, migrate-after-kill, all-backends-down degrade},
@@ -78,12 +87,15 @@ echo "== go test -race -count=300 (terminal jobs never show their checkpoint)"
 # visible; a reader that sees the job done must never find the file.
 go test -race -count=300 -run 'TestCorruptCheckpointDiscarded$' ./internal/service/
 
-echo "== go test -race (watchdog stall smoke: wedged checkpoint write -> requeue -> byte-identical)"
+echo "== go test -race -count=50 (watchdog stall smoke: wedged checkpoint write -> requeue -> byte-identical)"
 # A job wedged mid-run (blocked checkpoint write) must be detected by
 # the stuck-progress watchdog, cancelled, requeued through the backoff
 # ladder, and finish byte-identical on the retry; a job that stalls on
-# every attempt must fail loudly at the attempt cap.
-go test -race -count=1 -run 'TestWatchdog' ./internal/service/
+# every attempt must fail loudly at the attempt cap. Close waits for
+# the abandoned attempts, so none writes into a directory being
+# removed or into the next repetition's failpoint; 50 repetitions keep
+# that honest.
+go test -race -count=50 -run 'TestWatchdog' ./internal/service/
 
 echo "== go test -race -short (checkpoint kill/resume chaos: crash anywhere, resume, byte-identical)"
 # -short samples 3 kill points per snapshot set and workers {1,4}; the
