@@ -131,7 +131,7 @@ func TestDeriveTestsEndToEnd(t *testing.T) {
 		}
 		all := true
 		for _, of := range corr {
-			if flow.EasyATPG.Status[repOrig[of]] != atpg.StatusDetected {
+			if r, _ := repOrig.Rep(of); flow.EasyATPG.Status[r] != atpg.StatusDetected {
 				all = false
 				break
 			}
@@ -140,7 +140,8 @@ func TestDeriveTestsEndToEnd(t *testing.T) {
 			continue
 		}
 		checked++
-		if _, det := res.DetectedAt[repRet[f]]; !det {
+		r, _ := repRet.Rep(f)
+		if _, det := res.DetectedAt[r]; !det {
 			t.Errorf("corresponding fault %s not detected by the derived set", f.Name(flow.Pair.Retimed))
 		}
 	}

@@ -499,6 +499,13 @@ func (h *ckHash) bytes(p []byte) {
 	*h = ckHash(x)
 }
 
+// Write folds p into the hash, so a ckHash can sink a streaming
+// encoder. It never fails.
+func (h *ckHash) Write(p []byte) (int, error) {
+	h.bytes(p)
+	return len(p), nil
+}
+
 func (h *ckHash) u64(v uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
@@ -518,11 +525,11 @@ func (h *ckHash) flag(b bool) {
 func (h *ckHash) sum() uint64 { return uint64(*h) }
 
 // hashCircuit fingerprints the circuit through its canonical bench
-// rendering.
+// rendering, streamed into the hash without building the text.
 func hashCircuit(c *netlist.Circuit) uint64 {
 	var h ckHash
 	h.init()
-	h.bytes([]byte(netlist.BenchString(c)))
+	netlist.WriteBench(&h, c) // a ckHash sink never fails
 	return h.sum()
 }
 

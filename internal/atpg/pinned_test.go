@@ -119,7 +119,14 @@ func speedRetimed(t testing.TB, name string) *netlist.Circuit {
 
 func loadPinned(t *testing.T) map[string]string {
 	t.Helper()
-	f, err := os.Open(pinnedFile)
+	return loadPinnedFile(t, pinnedFile)
+}
+
+// loadPinnedFile reads a pinned-digest file into a map from each line's
+// first field to the whole line; blank and '#' lines are skipped.
+func loadPinnedFile(t *testing.T, path string) map[string]string {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,7 +216,7 @@ func (p *RetimedPair) CheckPreservation(testSet sim.Seq, fill PrefixFill, seed i
 	// Detection status of every original fault (not just representatives):
 	// a fault is detected exactly when its representative is.
 	detectedOrig := func(f fault.Fault) (bool, error) {
-		r, ok := repOrig[f]
+		r, ok := repOrig.Rep(f)
 		if !ok {
 			return false, fmt.Errorf("core: fault %s not in original universe", f.Name(p.Original))
 		}
@@ -247,7 +247,8 @@ func (p *RetimedPair) CheckPreservation(testSet sim.Seq, fill PrefixFill, seed i
 			continue
 		}
 		rep.Expected++
-		if _, det := retRes.DetectedAt[repRet[f]]; !det {
+		r, _ := repRet.Rep(f)
+		if _, det := retRes.DetectedAt[r]; !det {
 			rep.Violations = append(rep.Violations, f)
 		}
 	}

@@ -64,12 +64,14 @@ func (f Fault) Less(g Fault) bool {
 
 // Universe enumerates every stuck-at fault in the circuit: both
 // polarities on every stem that drives something (or is observed as an
-// output) and on every input pin of every gate and flip-flop.
+// output) and on every input pin of every gate and flip-flop. The list
+// comes out in Less order.
 func Universe(c *netlist.Circuit) []Fault {
+	isOut := outputMask(c)
 	var faults []Fault
 	for id := range c.Nodes {
 		n := &c.Nodes[id]
-		if len(n.Fanout) > 0 || c.IsOutput(id) {
+		if len(n.Fanout) > 0 || isOut[id] {
 			faults = append(faults,
 				Fault{Site{id, StemPin}, logic.Zero},
 				Fault{Site{id, StemPin}, logic.One})
@@ -83,9 +85,19 @@ func Universe(c *netlist.Circuit) []Fault {
 	return faults
 }
 
+// outputMask returns a per-node flag marking the primary outputs.
+func outputMask(c *netlist.Circuit) []bool {
+	isOut := make([]bool, len(c.Nodes))
+	for _, id := range c.Outputs {
+		isOut[id] = true
+	}
+	return isOut
+}
+
 // Collapse partitions the fault universe into structural equivalence
-// classes and returns one representative per class together with the
-// full representative map. The rules are the classical ones:
+// classes and returns one representative per class, in Less order,
+// together with the full representative map. The rules are the
+// classical ones:
 //
 //   - a branch whose driver has a single fanout is the driver's stem;
 //   - BUF: input s-a-v == output s-a-v; NOT: input s-a-v == output s-a-!v;
@@ -96,100 +108,138 @@ func Universe(c *netlist.Circuit) []Fault {
 // state a fault on a DFF input is observably different from the fault on
 // its output during the first cycle, which is exactly the distinction
 // the paper's prefix-sequence results hinge on.
-func Collapse(c *netlist.Circuit) (reps []Fault, repOf map[Fault]Fault) {
-	u := Universe(c)
-	uf := newUnionFind(u)
+//
+// Faults are numbered densely in Less order, 2*(off[node]+pin+1)+sa,
+// and classes are merged in a union-find over those indices that always
+// keeps the smaller index as the root. A class's root is therefore its
+// least member, which is the representative.
+func Collapse(c *netlist.Circuit) (reps []Fault, repOf RepMap) {
+	isOut := outputMask(c)
+	off := make([]int32, len(c.Nodes)+1)
+	for id := range c.Nodes {
+		off[id+1] = off[id] + 1 + int32(len(c.Nodes[id].Fanin))
+	}
+	idx := func(node, pin int, sa logic.V) int32 {
+		return 2*(off[node]+int32(pin)+1) + int32(sa)
+	}
+	parent := make([]int32, 2*off[len(c.Nodes)])
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(i int32) int32 {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
+	union := func(a, b int32) {
+		ra, rb := find(a), find(b)
+		if ra < rb {
+			parent[rb] = ra
+		} else if rb < ra {
+			parent[ra] = rb
+		}
+	}
 	for id := range c.Nodes {
 		n := &c.Nodes[id]
 		for pin, drv := range n.Fanin {
-			if len(c.Nodes[drv].Fanout) == 1 && !c.IsOutput(drv) {
+			if len(c.Nodes[drv].Fanout) == 1 && !isOut[drv] {
 				// Branch and stem are the same physical line. (If the
 				// driver is also a primary output the stem feeds the
 				// output pad too, so keep them distinct.)
-				uf.union(Fault{Site{id, pin}, logic.Zero}, Fault{Site{drv, StemPin}, logic.Zero})
-				uf.union(Fault{Site{id, pin}, logic.One}, Fault{Site{drv, StemPin}, logic.One})
+				union(idx(id, pin, logic.Zero), idx(drv, StemPin, logic.Zero))
+				union(idx(id, pin, logic.One), idx(drv, StemPin, logic.One))
 			}
+		}
+		if len(n.Fanout) == 0 && !isOut[id] {
+			// A dangling stem is no fault site; mark it outside the
+			// universe. Nothing ever joins its class.
+			stem := idx(id, StemPin, logic.Zero)
+			parent[stem], parent[stem+1] = -1, -1
+			continue
 		}
 		if n.Kind != netlist.KindGate {
 			continue
 		}
-		stem := Site{id, StemPin}
-		if len(n.Fanout) == 0 && !c.IsOutput(id) {
-			continue
-		}
+		stem0 := idx(id, StemPin, logic.Zero)
+		stem1 := stem0 + 1
 		switch n.Op {
 		case logic.OpBuf:
-			uf.union(Fault{Site{id, 0}, logic.Zero}, Fault{stem, logic.Zero})
-			uf.union(Fault{Site{id, 0}, logic.One}, Fault{stem, logic.One})
+			union(idx(id, 0, logic.Zero), stem0)
+			union(idx(id, 0, logic.One), stem1)
 		case logic.OpNot:
-			uf.union(Fault{Site{id, 0}, logic.Zero}, Fault{stem, logic.One})
-			uf.union(Fault{Site{id, 0}, logic.One}, Fault{stem, logic.Zero})
+			union(idx(id, 0, logic.Zero), stem1)
+			union(idx(id, 0, logic.One), stem0)
 		case logic.OpAnd:
 			for pin := range n.Fanin {
-				uf.union(Fault{Site{id, pin}, logic.Zero}, Fault{stem, logic.Zero})
+				union(idx(id, pin, logic.Zero), stem0)
 			}
 		case logic.OpNand:
 			for pin := range n.Fanin {
-				uf.union(Fault{Site{id, pin}, logic.Zero}, Fault{stem, logic.One})
+				union(idx(id, pin, logic.Zero), stem1)
 			}
 		case logic.OpOr:
 			for pin := range n.Fanin {
-				uf.union(Fault{Site{id, pin}, logic.One}, Fault{stem, logic.One})
+				union(idx(id, pin, logic.One), stem1)
 			}
 		case logic.OpNor:
 			for pin := range n.Fanin {
-				uf.union(Fault{Site{id, pin}, logic.One}, Fault{stem, logic.Zero})
+				union(idx(id, pin, logic.One), stem0)
 			}
 		}
 	}
-	repOf = make(map[Fault]Fault, len(u))
-	classes := make(map[Fault][]Fault)
-	for _, f := range u {
-		r := uf.find(f)
-		classes[r] = append(classes[r], f)
-	}
-	for _, members := range classes {
-		sort.Slice(members, func(i, j int) bool { return members[i].Less(members[j]) })
-		rep := members[0]
-		for _, m := range members {
-			repOf[m] = rep
+	nreps := 0
+	for i, p := range parent {
+		if p == int32(i) {
+			nreps++
 		}
-		reps = append(reps, rep)
 	}
-	sort.Slice(reps, func(i, j int) bool { return reps[i].Less(reps[j]) })
-	return reps, repOf
+	// Walk the universe in index (= Less) order, pointing every fault
+	// straight at its root. A non-root's parent is a smaller index, so
+	// it has already been resolved to the root.
+	reps = make([]Fault, 0, nreps)
+	for id := range c.Nodes {
+		for pin := StemPin; pin < len(c.Nodes[id].Fanin); pin++ {
+			for _, sa := range [2]logic.V{logic.Zero, logic.One} {
+				i := idx(id, pin, sa)
+				switch p := parent[i]; {
+				case p < 0:
+				case p == i:
+					reps = append(reps, Fault{Site{id, pin}, sa})
+				default:
+					parent[i] = parent[p]
+				}
+			}
+		}
+	}
+	return reps, RepMap{off: off, rep: parent}
 }
 
-// unionFind is a disjoint-set forest over faults.
-type unionFind struct {
-	parent map[Fault]Fault
+// RepMap maps every fault of one circuit's universe to the
+// representative of its equivalence class, as computed by Collapse. It
+// is slice-backed: one int32 per potential fault, in Collapse's dense
+// numbering.
+type RepMap struct {
+	off []int32 // first site slot of each node; one trailing total
+	rep []int32 // representative's index per fault; -1 outside the universe
 }
 
-func newUnionFind(all []Fault) *unionFind {
-	uf := &unionFind{parent: make(map[Fault]Fault, len(all))}
-	for _, f := range all {
-		uf.parent[f] = f
+// Rep returns the representative of f's class. ok is false when f is
+// not in the universe of the collapsed circuit.
+func (m RepMap) Rep(f Fault) (rep Fault, ok bool) {
+	if f.Node < 0 || f.Node >= len(m.off)-1 || f.Pin < StemPin || f.SA > logic.One {
+		return Fault{}, false
 	}
-	return uf
-}
-
-func (uf *unionFind) find(f Fault) Fault {
-	p, ok := uf.parent[f]
-	if !ok {
-		uf.parent[f] = f
-		return f
+	slot := int(m.off[f.Node]) + f.Pin + 1
+	if slot >= int(m.off[f.Node+1]) {
+		return Fault{}, false
 	}
-	if p == f {
-		return f
+	r := m.rep[2*slot+int(f.SA)]
+	if r < 0 {
+		return Fault{}, false
 	}
-	root := uf.find(p)
-	uf.parent[f] = root
-	return root
-}
-
-func (uf *unionFind) union(a, b Fault) {
-	ra, rb := uf.find(a), uf.find(b)
-	if ra != rb {
-		uf.parent[ra] = rb
-	}
+	rs := r >> 1
+	node := sort.Search(len(m.off), func(n int) bool { return m.off[n] > rs }) - 1
+	return Fault{Site{node, int(rs-m.off[node]) - 1}, logic.V(r & 1)}, true
 }

@@ -21,6 +21,17 @@ func and2(t *testing.T) *netlist.Circuit {
 	return c
 }
 
+// mustRep returns f's representative, failing the test when f is not
+// in the collapsed universe.
+func mustRep(t *testing.T, m RepMap, f Fault) Fault {
+	t.Helper()
+	r, ok := m.Rep(f)
+	if !ok {
+		t.Fatalf("no representative for %+v", f)
+	}
+	return r
+}
+
 func TestUniverseAnd2(t *testing.T) {
 	c := and2(t)
 	u := Universe(c)
@@ -43,22 +54,19 @@ func TestCollapseAnd2(t *testing.T) {
 	}
 	// Every universe fault maps to a representative that maps to itself.
 	for _, f := range Universe(c) {
-		r, ok := repOf[f]
-		if !ok {
-			t.Fatalf("no representative for %s", f.Name(c))
-		}
-		if repOf[r] != r {
+		r := mustRep(t, repOf, f)
+		if mustRep(t, repOf, r) != r {
 			t.Fatalf("representative %s is not canonical", r.Name(c))
 		}
 	}
 	// All s-a-0 faults must share one class.
 	z := c.MustNodeID("z")
 	a := c.MustNodeID("a")
-	if repOf[Fault{Site{a, StemPin}, logic.Zero}] != repOf[Fault{Site{z, StemPin}, logic.Zero}] {
+	if mustRep(t, repOf, Fault{Site{a, StemPin}, logic.Zero}) != mustRep(t, repOf, Fault{Site{z, StemPin}, logic.Zero}) {
 		t.Fatal("a s-a-0 and z s-a-0 must collapse together")
 	}
 	// Input s-a-1 faults must be distinct from output s-a-1.
-	if repOf[Fault{Site{a, StemPin}, logic.One}] == repOf[Fault{Site{z, StemPin}, logic.One}] {
+	if mustRep(t, repOf, Fault{Site{a, StemPin}, logic.One}) == mustRep(t, repOf, Fault{Site{z, StemPin}, logic.One}) {
 		t.Fatal("a s-a-1 must not collapse with z s-a-1")
 	}
 }
@@ -82,7 +90,7 @@ func TestCollapseInverterChain(t *testing.T) {
 		t.Fatalf("collapsed classes = %d, want 2", len(reps))
 	}
 	a, n1 := c.MustNodeID("a"), c.MustNodeID("n1")
-	if repOf[Fault{Site{a, StemPin}, logic.Zero}] != repOf[Fault{Site{n1, StemPin}, logic.One}] {
+	if mustRep(t, repOf, Fault{Site{a, StemPin}, logic.Zero}) != mustRep(t, repOf, Fault{Site{n1, StemPin}, logic.One}) {
 		t.Fatal("inversion-aware collapsing failed")
 	}
 }
@@ -100,7 +108,7 @@ func TestNoCollapseAcrossDFF(t *testing.T) {
 	_, repOf := Collapse(c)
 	aid, qid := c.MustNodeID("a"), c.MustNodeID("q")
 	// a (the DFF's input line) and q (its output) must stay distinct.
-	if repOf[Fault{Site{aid, StemPin}, logic.Zero}] == repOf[Fault{Site{qid, StemPin}, logic.Zero}] {
+	if mustRep(t, repOf, Fault{Site{aid, StemPin}, logic.Zero}) == mustRep(t, repOf, Fault{Site{qid, StemPin}, logic.Zero}) {
 		t.Fatal("faults must not collapse across a flip-flop")
 	}
 }
@@ -111,11 +119,11 @@ func TestFanoutBranchesDistinct(t *testing.T) {
 	g0, g1 := c.MustNodeID("G0"), c.MustNodeID("G1")
 	b0 := Fault{Site{g0, 0}, logic.Zero}
 	b1 := Fault{Site{g1, 1}, logic.Zero}
-	if repOf[b0] == repOf[b1] {
+	if mustRep(t, repOf, b0) == mustRep(t, repOf, b1) {
 		t.Fatal("branches of a fanout stem must not collapse with each other")
 	}
 	q := c.MustNodeID("Q")
-	if repOf[Fault{Site{q, StemPin}, logic.Zero}] == repOf[b0] {
+	if mustRep(t, repOf, Fault{Site{q, StemPin}, logic.Zero}) == mustRep(t, repOf, b0) {
 		t.Fatal("fanout stem must not collapse with a branch")
 	}
 }

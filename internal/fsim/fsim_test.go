@@ -60,7 +60,8 @@ func TestCollapseClassesBehaveIdentically(t *testing.T) {
 		})
 		_, repOf := fault.Collapse(c)
 		seq := randomSeq(rng, len(c.Inputs), 6)
-		for f, r := range repOf {
+		for _, f := range fault.Universe(c) {
+			r, _ := repOf.Rep(f)
 			if f == r {
 				continue
 			}

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/logic"
 )
+
+// maxBenchLine is the longest bench line ParseBench accepts, in bytes.
+const maxBenchLine = 1 << 20
 
 // ParseBench reads a circuit in the ISCAS-89 bench format:
 //
@@ -25,7 +27,9 @@ import (
 func ParseBench(name string, r io.Reader) (*Circuit, error) {
 	b := NewBuilder(name)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Start small and let the scanner grow up to the 1 MiB line cap;
+	// a preallocated 1 MiB buffer would be zeroed on every parse.
+	sc.Buffer(make([]byte, 0, 64<<10), maxBenchLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -114,37 +118,44 @@ func ParseBenchString(name, src string) (*Circuit, error) {
 	return ParseBench(name, strings.NewReader(src))
 }
 
-// WriteBench writes the circuit in bench format. Nodes are emitted in a
-// deterministic order: inputs, outputs, DFFs, then gates by ID.
+// WriteBench writes the circuit in bench format: two header comments,
+// then the inputs and outputs in declaration order, then every DFF and
+// gate in ID order.
 func WriteBench(w io.Writer, c *Circuit) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# %s\n", c.Name)
 	st := c.Stats()
-	fmt.Fprintf(bw, "# %d inputs, %d outputs, %d DFFs, %d gates\n", st.Inputs, st.Outputs, st.DFFs, st.Gates)
+	fmt.Fprintf(bw, "# %s\n# %d inputs, %d outputs, %d DFFs, %d gates\n",
+		c.Name, st.Inputs, st.Outputs, st.DFFs, st.Gates)
 	for _, id := range c.Inputs {
-		fmt.Fprintf(bw, "INPUT(%s)\n", c.Nodes[id].Name)
+		bw.WriteString("INPUT(")
+		bw.WriteString(c.Nodes[id].Name)
+		bw.WriteString(")\n")
 	}
 	for _, id := range c.Outputs {
-		fmt.Fprintf(bw, "OUTPUT(%s)\n", c.Nodes[id].Name)
+		bw.WriteString("OUTPUT(")
+		bw.WriteString(c.Nodes[id].Name)
+		bw.WriteString(")\n")
 	}
-	ids := make([]int, 0, len(c.Nodes))
 	for id := range c.Nodes {
-		if c.Nodes[id].Kind != KindInput {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
 		n := &c.Nodes[id]
-		args := make([]string, len(n.Fanin))
-		for i, f := range n.Fanin {
-			args[i] = c.Nodes[f].Name
+		if n.Kind == KindInput {
+			continue
 		}
 		kw := n.Op.String()
 		if n.Kind == KindDFF {
 			kw = "DFF"
 		}
-		fmt.Fprintf(bw, "%s = %s(%s)\n", n.Name, kw, strings.Join(args, ", "))
+		bw.WriteString(n.Name)
+		bw.WriteString(" = ")
+		bw.WriteString(kw)
+		bw.WriteByte('(')
+		for i, f := range n.Fanin {
+			if i > 0 {
+				bw.WriteString(", ")
+			}
+			bw.WriteString(c.Nodes[f].Name)
+		}
+		bw.WriteString(")\n")
 	}
 	return bw.Flush()
 }

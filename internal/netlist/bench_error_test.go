@@ -1,6 +1,8 @@
 package netlist
 
 import (
+	"bufio"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -106,5 +108,31 @@ func TestParseBenchErrorsCarryLocation(t *testing.T) {
 	}
 	if !strings.HasPrefix(err.Error(), "broken.bench:3:") {
 		t.Fatalf("error %q does not carry file:line", err)
+	}
+}
+
+// TestParseBenchLongLines pins the line-length cap: the scanner starts
+// with a small buffer and grows it, so a 200 KiB line parses and the
+// longest line that fits the 1 MiB cap still does, while one byte more
+// fails with bufio.ErrTooLong.
+func TestParseBenchLongLines(t *testing.T) {
+	long := strings.Repeat("n", 200<<10)
+	c, err := ParseBenchString("long", "INPUT("+long+")\nOUTPUT(z)\nz = NOT("+long+")\n")
+	if err != nil {
+		t.Fatalf("200 KiB line rejected: %v", err)
+	}
+	if c.NodeID(long) < 0 {
+		t.Fatal("200 KiB signal name lost")
+	}
+	// The cap covers the line and its newline together.
+	pad := func(n int) string { return "z = NOT(a) #" + strings.Repeat("x", n-len("z = NOT(a) #")) }
+	if _, err := ParseBenchString("cap", "INPUT(a)\nOUTPUT(z)\n"+pad(maxBenchLine-1)+"\n"); err != nil {
+		t.Fatalf("line of %d bytes rejected: %v", maxBenchLine-1, err)
+	}
+	for _, n := range []int{maxBenchLine, maxBenchLine + 1} {
+		_, err := ParseBenchString("over", "INPUT(a)\nOUTPUT(z)\n"+pad(n)+"\n")
+		if !errors.Is(err, bufio.ErrTooLong) {
+			t.Fatalf("line of %d bytes: err = %v, want %v", n, err, bufio.ErrTooLong)
+		}
 	}
 }

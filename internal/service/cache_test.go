@@ -357,3 +357,26 @@ func TestCancelConcurrentIdenticalFollower(t *testing.T) {
 		t.Fatalf("post-cancel submission: status=%s cache=%q", v3.Status, v3.Cache)
 	}
 }
+
+// TestRequestKeyPinned pins the cache key of one request of each kind.
+// Disk-tier entries written by an earlier build are found only while
+// these keys hold, so any change to the bench rendering, the fault
+// collapse or the identity hashing that moves them must be deliberate.
+func TestRequestKeyPinned(t *testing.T) {
+	c := mustParse(t, netlist.BenchString(netlist.Fig5N1()))
+	cases := []struct {
+		req  Request
+		want string
+	}{
+		{Request{Kind: KindRetime}, "4df07dd38c1d0d97-a8c7f832281a39c5-f07a1bad78aea404"},
+		{Request{Kind: KindRetime, Mode: "registers"}, "4df07dd38c1d0d97-a8c7f832281a39c5-375de0c76e7e04e0"},
+		{Request{Kind: KindATPG, ATPG: &ATPGSpec{Workers: 2, RandomSeed: 7}}, "4df07dd38c1d0d97-5c65de98c117905d-8093f4810ec87780"},
+		{Request{Kind: KindFaultSim, Tests: "00,01,11"}, "4df07dd38c1d0d97-5c65de98c117905d-a520d0831c4a878f"},
+		{Request{Kind: KindDeriveTests, Fill: "random", Seed: 3}, "4df07dd38c1d0d97-5c65de98c117905d-cd890e051d6f9e8d"},
+	}
+	for _, tc := range cases {
+		if got := requestKey(&tc.req, c, false).String(); got != tc.want {
+			t.Errorf("%s %+v: key %s, want %s", tc.req.Kind, tc.req, got, tc.want)
+		}
+	}
+}

@@ -246,6 +246,54 @@ func TestCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestSubmitJournaledBeforeStart holds the submit entry's write back
+// until the job's start entry is being written (or 200ms pass, which is
+// what a correct service takes: its worker waits for the submit entry).
+// Replay drops entries that precede a job's submit, so a start or done
+// entry journaled first would make recovery re-run a finished job.
+func TestSubmitJournaledBeforeStart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	s, err := Open(Config{Workers: 1, JournalPath: path, DefaultTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{})
+	var once sync.Once
+	failpoint.Enable(fpJournalBeforeWrite+"."+evStart, func() error {
+		once.Do(func() { close(started) })
+		return nil
+	})
+	failpoint.Enable(fpJournalBeforeWrite+"."+evSubmit, func() error {
+		select {
+		case <-started:
+		case <-time.After(200 * time.Millisecond):
+		}
+		return nil
+	})
+	defer failpoint.DisableAll()
+	id, err := s.Submit(quickRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := waitDone(t, s, id); v.Status != StatusDone {
+		t.Fatalf("job finished %s: %s", v.Status, v.Error)
+	}
+	s.Close()
+	failpoint.DisableAll()
+
+	s2, err := Open(Config{Workers: 1, JournalPath: path, DefaultTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if n := s2.Metrics().Counter("jobs.recovered").Value(); n != 0 {
+		t.Fatalf("jobs.recovered = %d: the finished job's entries were journaled before its submit", n)
+	}
+	if v, err := s2.Get(id); err != nil || v.Status != StatusDone || v.Attempt != 1 {
+		t.Fatalf("replayed job: %+v, %v; want done at attempt 1", v, err)
+	}
+}
+
 // TestRecoveryGivesUpAfterMaxAttempts: a job whose start is journaled
 // MaxAttempts times without a terminal entry is a crash-looper; the
 // next recovery fails it instead of re-queueing it a fourth time.

@@ -258,6 +258,11 @@ type Job struct {
 	// attempt counts how many times the job has been started; recovered
 	// jobs resume past their journaled attempts.
 	attempt int
+	// submitted is closed once the submit entry is journaled; nil for
+	// jobs replayed from the journal. A worker waits on it: replay drops
+	// every entry that precedes a job's submit, so a start or terminal
+	// entry written first would be lost.
+	submitted chan struct{}
 	// progress is the running attempt's last heartbeat: begin stamps
 	// it, and the attempt refreshes it at every stage boundary and
 	// checkpoint write. The watchdog compares it against the configured
@@ -453,28 +458,31 @@ func (j *Job) cancelPending() bool {
 // context.Canceled, failed otherwise. The returned changed flag is
 // false when the job was already terminal (finish is then a no-op), so
 // callers never double-count metrics or double-journal transitions.
-// beforeTerminal runs under j.mu once the job is known to be
-// finishing, before the terminal status becomes visible: whatever it
-// cleans up is gone by the time any view reports the job terminal. It
-// must not touch the job itself.
-func (j *Job) finish(res *Result, err error, beforeTerminal func()) (status Status, dur time.Duration, changed bool) {
+// beforeTerminal runs under j.mu once the job's terminal status is
+// known, before that status becomes visible: whatever it does is done
+// by the time any view reports the job terminal. It must not touch the
+// job itself.
+func (j *Job) finish(res *Result, err error, beforeTerminal func(Status)) (status Status, dur time.Duration, changed bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status.Terminal() {
 		return j.status, 0, false
 	}
-	beforeTerminal()
-	j.finished = time.Now()
-	j.cancel = nil
 	switch {
 	case err == nil:
-		j.status = StatusDone
-		j.result = res
+		status = StatusDone
 	case j.cancelRequested && errors.Is(err, context.Canceled):
-		j.status = StatusCancelled
-		j.err = err.Error()
+		status = StatusCancelled
 	default:
-		j.status = StatusFailed
+		status = StatusFailed
+	}
+	beforeTerminal(status)
+	j.finished = time.Now()
+	j.cancel = nil
+	j.status = status
+	if err == nil {
+		j.result = res
+	} else {
 		j.err = err.Error()
 	}
 	start := j.started

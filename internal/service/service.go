@@ -520,11 +520,12 @@ func (s *Service) SubmitWithRequestID(req Request, reqID string) (string, error)
 	}
 	s.nextID++
 	j := &Job{
-		id:      fmt.Sprintf("job-%06d", s.nextID),
-		req:     req,
-		reqID:   reqID,
-		status:  StatusQueued,
-		created: time.Now(),
+		id:        fmt.Sprintf("job-%06d", s.nextID),
+		req:       req,
+		reqID:     reqID,
+		status:    StatusQueued,
+		created:   time.Now(),
+		submitted: make(chan struct{}),
 	}
 	select {
 	case s.queue <- j:
@@ -536,6 +537,7 @@ func (s *Service) SubmitWithRequestID(req Request, reqID string) (string, error)
 	s.jobs[j.id] = j
 	s.mu.Unlock()
 	s.journalAppend(journalEntry{Event: evSubmit, ID: j.id, Req: &j.req, ReqID: reqID})
+	close(j.submitted)
 	s.log.Infof("id=%s job=%s submitted kind=%s", reqID, j.id, req.Kind)
 	s.reg.Counter("jobs.submitted." + string(req.Kind)).Inc()
 	s.reg.Gauge("queue.depth").Add(1)
@@ -751,6 +753,9 @@ type outcome struct {
 // leaks. The one exception is a watchdog stall, where the worker moves
 // on and hands the goroutine to abandon.
 func (s *Service) runJob(j *Job) {
+	if j.submitted != nil {
+		<-j.submitted
+	}
 	timeout := s.cfg.DefaultTimeout
 	if j.req.TimeoutMS > 0 {
 		timeout = time.Duration(j.req.TimeoutMS) * time.Millisecond
@@ -819,10 +824,22 @@ func (s *Service) finishJob(j *Job, res *Result, err error) {
 	if j == nil {
 		return
 	}
-	// A job that reached a terminal state will never resume; its
-	// checkpoint (if any) is dead weight. It goes before the terminal
-	// status is published, so no observer of a finished job sees it.
-	status, dur, changed := j.finish(res, err, func() { s.removeCheckpoint(j.id) })
+	// A job that reached a terminal state will never resume: its
+	// checkpoint (if any) is dead weight, and its terminal entry is
+	// journaled. Both happen before the terminal status is published,
+	// so an observer of a finished job never sees the checkpoint, and
+	// the entry's write (or its counted failure) has already happened.
+	status, dur, changed := j.finish(res, err, func(status Status) {
+		s.removeCheckpoint(j.id)
+		switch status {
+		case StatusDone:
+			s.journalAppend(journalEntry{Event: evDone, ID: j.id, Result: res})
+		case StatusCancelled:
+			s.journalAppend(journalEntry{Event: evCancelled, ID: j.id})
+		default:
+			s.journalAppend(journalEntry{Event: evFailed, ID: j.id, Error: err.Error()})
+		}
+	})
 	if !changed {
 		return
 	}
@@ -830,13 +847,10 @@ func (s *Service) finishJob(j *Job, res *Result, err error) {
 	switch status {
 	case StatusDone:
 		s.reg.Counter("jobs.done." + kind).Inc()
-		s.journalAppend(journalEntry{Event: evDone, ID: j.id, Result: res})
 	case StatusCancelled:
 		s.reg.Counter("jobs.cancelled." + kind).Inc()
-		s.journalAppend(journalEntry{Event: evCancelled, ID: j.id})
 	default:
 		s.reg.Counter("jobs.failed." + kind).Inc()
-		s.journalAppend(journalEntry{Event: evFailed, ID: j.id, Error: err.Error()})
 	}
 	s.reg.Histogram("jobs.latency." + kind).Observe(dur)
 	// The kind-agnostic aggregate feeds the RetryAfter backlog estimate.

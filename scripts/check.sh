@@ -54,6 +54,18 @@ echo "== go test (fault-simulation byte-identity: dense/sparse counter-exact gat
 # lists per sequence plus Stats).
 go test -count=1 -run 'TestFlatKernelMatchesEvalW|TestDenseCycleCounterExact|TestRandomPhasePinnedDigests' ./internal/fsim/
 
+echo "== go test (cache-key byte-identity: collapse oracle, pinned circuit identities and request keys)"
+# Collapse numbers faults densely and merges classes in a flat
+# union-find; on all 32 Table II circuits and 320 seeded random
+# circuits it must return the map-based oracle's representatives and
+# the oracle's representative for every universe fault. The bench
+# rendering is streamed into the circuit hash, so the SHA-256 of
+# BenchString and the identity-hash triple of every Table II circuit,
+# and one service request key per job kind, are pinned: cache entries
+# and checkpoints written by an earlier build must still hit and resume.
+go test -count=1 -run 'TestCollapseMatchesOracle|TestPinnedIdentities|TestRequestKeyPinned|TestBenchStringStable|TestParseBenchLongLines' \
+    ./internal/fault/ ./internal/atpg/ ./internal/service/ ./internal/netlist/
+
 echo "== go test -race (dispatch fan-out: retry ladder, migration, degrade, byte-identity at 1/2/4 backends)"
 # The distributed chaos gate: failpoint-driven {first-try success,
 # retry-then-success, migrate-after-kill, all-backends-down degrade},
@@ -86,6 +98,13 @@ echo "== go test -race -count=300 (terminal jobs never show their checkpoint)"
 # finishJob removes the checkpoint before the terminal status becomes
 # visible; a reader that sees the job done must never find the file.
 go test -race -count=300 -run 'TestCorruptCheckpointDiscarded$' ./internal/service/
+
+echo "== go test -race -count=300 (crash recovery: journal order is submit, start, terminal)"
+# A worker waits for the submit entry before journaling the start, and
+# a terminal entry is journaled before the job looks finished; replay
+# drops entries that precede a submit, so either race lost the attempt
+# count or re-ran a finished job after recovery.
+go test -race -count=300 -run 'TestCrashRecovery$' ./internal/service/
 
 echo "== go test -race -count=50 (watchdog stall smoke: wedged checkpoint write -> requeue -> byte-identical)"
 # A job wedged mid-run (blocked checkpoint write) must be detected by
