@@ -78,10 +78,6 @@ type Options struct {
 	// lines. Tests remain valid for unknown initial state; the seed is
 	// just a fixed stimulus prefix.
 	SyncSeed bool
-	// fullResim (test/benchmark only) swaps the persistent incremental
-	// fault simulator for the pre-incremental cost model that rebuilds a
-	// full-sweep simulation of every surviving fault per sequence.
-	fullResim bool
 }
 
 // DefaultOptions returns the settings used by the experiment harness.
@@ -206,7 +202,7 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opt Options) *Result {
 // -- together with the context error. With a never-cancelled context the
 // result is byte-identical to Run.
 func RunContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options) (*Result, error) {
-	return runMerge(ctx, c, faults, opt, nil)
+	return runMerge(ctx, c, faults, opt, nil, newSimGrader)
 }
 
 // runMerge is the deterministic merge loop behind RunContext and
@@ -214,35 +210,32 @@ func RunContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, o
 // per-fault PODEM candidates (distributed shard results) in place of
 // inline generation or local speculation.
 //
+// newG builds the fault-dropping backend of each merge pass; production
+// callers pass newSimGrader.
+//
 // With a checkpoint Path, a ResumeFrom that fails Validate or diverges
 // mid-replay is deleted, reported to OnResume, and the run restarts
 // clean, so an unusable file never wedges a caller's retry loop.
-func runMerge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, lookup CandidateLookup) (*Result, error) {
-	res, err := merge(ctx, c, faults, opt, lookup)
+func runMerge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, lookup CandidateLookup, newG graderFunc) (*Result, error) {
+	res, err := merge(ctx, c, faults, opt, lookup, newG(c, faults))
 	if cfg := opt.Checkpoint; cfg.ResumeFrom != nil && cfg.Path != "" && isCheckpointErr(err) {
 		iofault.Discard(cfg.Path)
 		if cfg.OnResume != nil {
 			cfg.OnResume(false, err)
 		}
 		opt.Checkpoint.ResumeFrom = nil
-		return merge(ctx, c, faults, opt, lookup)
+		return merge(ctx, c, faults, opt, lookup, newG(c, faults))
 	}
 	return res, err
 }
 
-// merge is one pass of runMerge.
-func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, lookup CandidateLookup) (*Result, error) {
+// merge is one pass of runMerge, grading through g.
+func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, lookup CandidateLookup, g grader) (*Result, error) {
 	start := time.Now()
 	res := &Result{
 		Circuit: c,
 		Faults:  faults,
 		Status:  make(map[fault.Fault]FaultStatus, len(faults)),
-	}
-	var g grader
-	if opt.fullResim {
-		g = newOracleGrader(c, faults)
-	} else {
-		g = newSimGrader(c, faults)
 	}
 
 	// Evals charges below use the historical full-sweep cost estimate

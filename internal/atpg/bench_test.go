@@ -49,10 +49,9 @@ func BenchmarkATPGWithDropping(b *testing.B) {
 	c, faults := benchDropWorkload(b)
 	b.Run("full-resim", func(b *testing.B) {
 		opt := benchDropOptions()
-		opt.fullResim = true
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			Run(c, faults, opt)
+			runFullResim(c, faults, opt)
 		}
 	})
 	b.Run("incremental", func(b *testing.B) {

@@ -566,7 +566,9 @@ func hashOptions(opt Options) uint64 {
 	h.i64(opt.RandomSeed)
 	h.flag(opt.IdentifyRedundant)
 	h.flag(opt.SyncSeed)
-	h.flag(opt.fullResim)
+	// The slot of a retired test-only grader switch, always false: it
+	// keeps every option hash, checkpoint and cache key stable.
+	h.flag(false)
 	return h.sum()
 }
 

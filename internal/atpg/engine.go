@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/fault"
-	"repro/internal/fsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -16,22 +15,10 @@ import (
 // scratch -- frame rows, event queues, error sets, visited marks, the
 // backtrace stacks -- is owned by the engine and reused across
 // decisions, frame counts and faults, so a warmed engine allocates only
-// the test sequences it returns.
+// the test sequences it returns. The immutable structural tables live
+// in the shared program.
 type engine struct {
-	c     *netlist.Circuit
-	opt   Options
-	order []int
-	// Structural tables, built once per engine.
-	orderPos []int32             // position of a gate in order, -1 for other nodes
-	gateOut  [][]netlist.GateRef // per-node gate fanouts with their levels
-	dffOut   [][]int32           // per-node flip-flop fanouts
-	index    []int               // position of an input in c.Inputs or a flip-flop in c.DFFs
-	// isOut marks primary-output nodes for O(1) lookup in hot loops.
-	isOut []bool
-	// SCOAP-style controllability costs (guided backtrace).
-	cost0, cost1 []int64
-	// seed is the synchronizing stimulus prefix (SyncSeed option).
-	seed sim.Seq
+	*program
 
 	// per-fault search state
 	f          fault.Fault
@@ -60,9 +47,13 @@ type engine struct {
 	// pending[t] lists the source nodes of frame t whose value may have
 	// changed: assigned inputs, free-state flip-flops (frame 0 only) and
 	// flip-flops whose data input changed in frame t-1.
-	pending [][]int32
-	queued  []bool    // gate already scheduled in the frame being drained
-	buckets [][]int32 // scheduled gates per level
+	pending   [][]int32
+	queued    []bool    // gate already scheduled in the frame being drained
+	buckets   [][]int32 // scheduled gates per level
+	scheduled int       // gates scheduled in the frame being drained
+	// denseAt is the scheduled-gate count past which drain sweeps the
+	// rest of a frame densely.
+	denseAt int
 
 	// errs[t] lists the nodes carrying a fault effect in frame t, in no
 	// particular order; errAt[t*len(c.Nodes)+id] is 1 + the node's
@@ -127,94 +118,6 @@ func (s *stamps) visit(k int) bool {
 	}
 	s.mark[k] = s.epoch
 	return true
-}
-
-func newEngine(c *netlist.Circuit, opt Options) *engine {
-	order, level := c.MustLevels()
-	nodes := len(c.Nodes)
-	e := &engine{
-		c:        c,
-		opt:      opt,
-		order:    order,
-		orderPos: make([]int32, nodes),
-		gateOut:  c.GateFanouts(),
-		dffOut:   make([][]int32, nodes),
-		index:    make([]int, nodes),
-		isOut:    make([]bool, nodes),
-		state:    make([]logic.V, len(c.DFFs)),
-		queued:   make([]bool, nodes),
-	}
-	for id := range e.orderPos {
-		e.orderPos[id] = -1
-	}
-	maxLevel := 0
-	for p, id := range order {
-		e.orderPos[id] = int32(p)
-		maxLevel = max(maxLevel, level[id])
-	}
-	e.buckets = make([][]int32, maxLevel+1)
-	for i, id := range c.Inputs {
-		e.index[id] = i
-	}
-	for i, id := range c.DFFs {
-		e.index[id] = i
-		fi := c.Nodes[id].Fanin[0]
-		e.dffOut[fi] = append(e.dffOut[fi], int32(id))
-	}
-	for _, id := range c.Outputs {
-		e.isOut[id] = true
-	}
-	if opt.GuidedBacktrace {
-		e.computeControllability()
-	}
-	if opt.SyncSeed {
-		e.seed = findSyncSeed(c)
-	}
-	return e
-}
-
-// findSyncSeed looks for a short structural synchronizing sequence made
-// of a held constant vector: all zeros, all ones, or a single bit set or
-// cleared -- the patterns that activate reset/enable-style controls. It
-// returns nil when none of these initializes the machine.
-func findSyncSeed(c *netlist.Circuit) sim.Seq {
-	in := len(c.Inputs)
-	limit := 2*len(c.DFFs) + 4
-	var candidates []sim.Vec
-	zeros := make(sim.Vec, in)
-	ones := make(sim.Vec, in)
-	for i := range ones {
-		ones[i] = logic.One
-	}
-	candidates = append(candidates, zeros, ones)
-	for i := 0; i < in; i++ {
-		hot := make(sim.Vec, in)
-		hot[i] = logic.One
-		cold := make(sim.Vec, in)
-		for j := range cold {
-			cold[j] = logic.One
-		}
-		cold[i] = logic.Zero
-		candidates = append(candidates, hot, cold)
-	}
-	var best sim.Seq
-	m := fsim.NewMachine(c, nil)
-	for _, v := range candidates {
-		m.Reset()
-		for k := 1; k <= limit; k++ {
-			m.Step(v)
-			if m.Synchronized() {
-				if best == nil || k < len(best) {
-					best = make(sim.Seq, k)
-					for t := range best {
-						best[t] = v
-					}
-				}
-				break
-			}
-		}
-	}
-	return best
 }
 
 // excitable reports whether the fault site's good rail is still unknown
@@ -406,7 +309,9 @@ func (e *engine) simulate() {
 			continue
 		}
 		for _, id := range e.pending[t] {
-			e.update(t, int(id), e.sourceValue(t, int(id)))
+			if v := e.sourceValue(t, int(id)); v != e.val[t][id] {
+				e.update(t, int(id), v)
+			}
 		}
 		e.pending[t] = e.pending[t][:0]
 		e.drain(t)
@@ -428,9 +333,7 @@ func (e *engine) sweep() {
 		for _, id := range c.DFFs {
 			vals[id] = e.sourceValue(t, id)
 		}
-		for _, id := range e.order {
-			vals[id] = e.evalGate(vals, id)
-		}
+		e.sweepFrom(t, 0)
 		for _, id := range e.errs[t] {
 			e.errAt[t*nodes+int(id)] = 0
 		}
@@ -465,7 +368,9 @@ func (e *engine) sourceValue(t, id int) logic.C {
 
 // evalGate evaluates gate id over the frame's values, both rails in
 // one pass over the fanins (logic.EvalC would allocate per call). Only
-// the faulty node's own evaluation consults the fault site.
+// the faulty node's own evaluation consults the fault site. drain and
+// sweepFrom take it for the fault-site gate, wide gates and constants,
+// and the one-lookup flat kernel (kgate.eval) for every other gate.
 func (e *engine) evalGate(vals []logic.C, id int) logic.C {
 	n := &e.c.Nodes[id]
 	pin := -1 // the faulted input pin of this gate, if any
@@ -533,40 +438,89 @@ func controlled(cv logic.V, ctl, x bool) logic.V {
 	return logic.Not(cv)
 }
 
-// update stores a new value for node id at frame t. A change keeps the
-// frame's error set current, schedules the node's gate fanouts and
-// queues its flip-flop fanouts as pending sources of frame t+1.
-func (e *engine) update(t, id int, v logic.C) {
-	old := e.val[t][id]
-	if v == old {
-		return
-	}
-	e.val[t][id] = v
+// set stores a changed value for node id at frame t, keeps the
+// frame's error set current and queues the node's flip-flop fanouts as
+// pending sources of frame t+1.
+func (e *engine) set(t, id int, v logic.C) {
+	row := e.val[t]
+	old := row[id]
+	row[id] = v
 	if isErr := v.IsError(); isErr != old.IsError() {
 		e.setError(t, id, isErr)
 	}
-	for _, g := range e.gateOut[id] {
-		if !e.queued[g.ID] {
-			e.queued[g.ID] = true
-			e.buckets[g.Level] = append(e.buckets[g.Level], g.ID)
-		}
+	if lo, hi := e.dffStart[id], e.dffStart[id+1]; lo < hi && t+1 < e.frames {
+		e.pending[t+1] = append(e.pending[t+1], e.dffID[lo:hi]...)
 	}
-	if t+1 < e.frames {
-		e.pending[t+1] = append(e.pending[t+1], e.dffOut[id]...)
+}
+
+// update is set plus scheduling the node's gate fanouts for the
+// frame's drain. Callers skip unchanged values.
+func (e *engine) update(t, id int, v logic.C) {
+	e.set(t, id, v)
+	for k, end := e.outStart[id], e.outStart[id+1]; k < end; k++ {
+		if g := e.outID[k]; !e.queued[g] {
+			e.queued[g] = true
+			e.scheduled++
+			e.buckets[e.outLevel[k]] = append(e.buckets[e.outLevel[k]], g)
+		}
 	}
 }
 
 // drain evaluates the gates scheduled in frame t in level order. A gate
-// only schedules fanouts of a higher level, so one pass suffices.
+// only schedules fanouts of a higher level, so one pass suffices. Once
+// more than denseAt gates have been scheduled, the rest of the frame
+// is swept densely instead: every gate from the current level on, in
+// level order, without the event bookkeeping. An unscheduled gate's
+// fanins did not change, so re-evaluating it returns its stored value
+// and both paths imply the same frame. Both loops spell out the
+// kernel-or-evalGate choice: a method holding it does not inline.
 func (e *engine) drain(t int) {
 	vals := e.val[t]
-	for l := range e.buckets {
-		for i := 0; i < len(e.buckets[l]); i++ {
-			id := int(e.buckets[l][i])
-			e.queued[id] = false
-			e.update(t, id, e.evalGate(vals, id))
+	site := int32(e.f.Node)
+	for l, bucket := range e.buckets {
+		if e.scheduled > e.denseAt {
+			e.sweepFrom(t, l)
+			break
 		}
-		e.buckets[l] = e.buckets[l][:0]
+		for _, id := range bucket {
+			e.queued[id] = false
+			var v logic.C
+			if k := e.kern[id]; k.op != opGeneric && id != site {
+				v = k.eval(vals)
+			} else {
+				v = e.evalGate(vals, int(id))
+			}
+			if v != vals[id] {
+				e.update(t, int(id), v)
+			}
+		}
+		e.buckets[l] = bucket[:0]
+	}
+	e.scheduled = 0
+}
+
+// sweepFrom drops the gates still scheduled at levels l and above and
+// re-evaluates every gate of those levels of frame t in level order.
+// sweep runs it from level 0 on every frame.
+func (e *engine) sweepFrom(t, l int) {
+	for k, bucket := range e.buckets[l:] {
+		for _, id := range bucket {
+			e.queued[id] = false
+		}
+		e.buckets[l+k] = bucket[:0]
+	}
+	vals := e.val[t]
+	site := int32(e.f.Node)
+	for _, k := range e.byLevel[e.levelStart[l]:] {
+		var v logic.C
+		if k.op != opGeneric && k.id != site {
+			v = k.eval(vals)
+		} else {
+			v = e.evalGate(vals, int(k.id))
+		}
+		if v != vals[k.id] {
+			e.set(t, int(k.id), v)
+		}
 	}
 }
 
@@ -710,9 +664,9 @@ func (e *engine) frontierCandidates(t int) []int32 {
 	e.frontierMark.reset(len(e.c.Nodes))
 	cand := e.frontier[:0]
 	for _, id := range e.errs[t] {
-		for _, g := range e.gateOut[id] {
-			if e.frontierMark.visit(int(g.ID)) {
-				cand = append(cand, e.orderPos[g.ID])
+		for _, g := range e.outID[e.outStart[id]:e.outStart[id+1]] {
+			if e.frontierMark.visit(int(g)) {
+				cand = append(cand, e.orderPos[g])
 			}
 		}
 	}
@@ -945,105 +899,4 @@ func (e *engine) extractTest() sim.Seq {
 		seq[t] = v
 	}
 	return seq
-}
-
-// computeControllability derives SCOAP-flavoured 0/1 controllability
-// costs by relaxation; flip-flop outputs cost extra to discourage
-// backtraces through deep state.
-func (e *engine) computeControllability() {
-	const inf = int64(1) << 40
-	const seqPenalty = 20
-	n := len(e.c.Nodes)
-	e.cost0 = make([]int64, n)
-	e.cost1 = make([]int64, n)
-	for i := range e.cost0 {
-		e.cost0[i], e.cost1[i] = inf, inf
-	}
-	for _, id := range e.c.Inputs {
-		e.cost0[id], e.cost1[id] = 1, 1
-	}
-	for pass := 0; pass < 8; pass++ {
-		changed := false
-		update := func(arr []int64, id int, v int64) {
-			if v < arr[id] {
-				arr[id] = v
-				changed = true
-			}
-		}
-		for _, id := range e.c.DFFs {
-			fi := e.c.Nodes[id].Fanin[0]
-			update(e.cost0, id, sat(e.cost0[fi]+seqPenalty))
-			update(e.cost1, id, sat(e.cost1[fi]+seqPenalty))
-		}
-		for _, id := range e.order {
-			nd := &e.c.Nodes[id]
-			c0, c1 := gateControllability(nd, e.cost0, e.cost1)
-			update(e.cost0, id, c0)
-			update(e.cost1, id, c1)
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
-func sat(v int64) int64 {
-	const inf = int64(1) << 40
-	if v > inf {
-		return inf
-	}
-	return v
-}
-
-// gateControllability returns the SCOAP-style cost of setting the gate
-// output to 0 and to 1.
-func gateControllability(n *netlist.Node, cost0, cost1 []int64) (int64, int64) {
-	const inf = int64(1) << 40
-	minOf := func(arr []int64) int64 {
-		m := inf
-		for _, fi := range n.Fanin {
-			if arr[fi] < m {
-				m = arr[fi]
-			}
-		}
-		return m
-	}
-	sumOf := func(arr []int64) int64 {
-		var s int64
-		for _, fi := range n.Fanin {
-			s = sat(s + arr[fi])
-		}
-		return s
-	}
-	switch n.Op {
-	case logic.OpConst0:
-		return 0, inf
-	case logic.OpConst1:
-		return inf, 0
-	case logic.OpBuf:
-		return sat(cost0[n.Fanin[0]] + 1), sat(cost1[n.Fanin[0]] + 1)
-	case logic.OpNot:
-		return sat(cost1[n.Fanin[0]] + 1), sat(cost0[n.Fanin[0]] + 1)
-	case logic.OpAnd:
-		return sat(minOf(cost0) + 1), sat(sumOf(cost1) + 1)
-	case logic.OpNand:
-		return sat(sumOf(cost1) + 1), sat(minOf(cost0) + 1)
-	case logic.OpOr:
-		return sat(sumOf(cost0) + 1), sat(minOf(cost1) + 1)
-	case logic.OpNor:
-		return sat(minOf(cost1) + 1), sat(sumOf(cost0) + 1)
-	case logic.OpXor, logic.OpXnor:
-		// Cheap approximation: either rail costs the sum of the easier
-		// sides plus one.
-		var s int64
-		for _, fi := range n.Fanin {
-			c := cost0[fi]
-			if cost1[fi] < c {
-				c = cost1[fi]
-			}
-			s = sat(s + c)
-		}
-		return sat(s + 1), sat(s + 1)
-	}
-	return inf, inf
 }

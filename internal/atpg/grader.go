@@ -13,9 +13,9 @@ import (
 // the generator (random grading and post-generation dropping) simulate
 // a sequence from the all-X state over the surviving faults and retire
 // the detected ones. The incremental simGrader is the production path;
-// oracleGrader rebuilds a full-sweep simulation per call and exists to
-// benchmark the old re-simulate-everything cost model and to cross-check
-// the incremental engine in tests.
+// the tests add a full-sweep oracle grader to benchmark the old
+// re-simulate-everything cost model and to cross-check the incremental
+// engine.
 type grader interface {
 	// grade simulates seq from the unknown initial state over the
 	// surviving faults, retires the detected ones, and returns them. A
@@ -33,12 +33,15 @@ type grader interface {
 	stats() fsim.Stats
 }
 
+// graderFunc builds a grader over the fault list.
+type graderFunc func(c *netlist.Circuit, faults []fault.Fault) grader
+
 // simGrader is the incremental event-driven backend: one persistent
 // fsim.Simulator reused across every sequence, so detected faults are
 // never packed or simulated again and sparse groups are repacked.
 type simGrader struct{ s *fsim.Simulator }
 
-func newSimGrader(c *netlist.Circuit, faults []fault.Fault) *simGrader {
+func newSimGrader(c *netlist.Circuit, faults []fault.Fault) grader {
 	return &simGrader{s: fsim.NewSimulator(c, faults)}
 }
 
@@ -51,54 +54,3 @@ func (g *simGrader) drop(f fault.Fault)       { g.s.Drop(f) }
 func (g *simGrader) liveCount() int           { return g.s.LiveCount() }
 func (g *simGrader) remaining() []fault.Fault { return g.s.Remaining() }
 func (g *simGrader) stats() fsim.Stats        { return g.s.Stats() }
-
-// oracleGrader re-simulates the whole surviving fault list with the
-// full-sweep oracle on every call, the pre-incremental cost model.
-type oracleGrader struct {
-	c   *netlist.Circuit
-	rem []fault.Fault
-}
-
-func newOracleGrader(c *netlist.Circuit, faults []fault.Fault) *oracleGrader {
-	return &oracleGrader{c: c, rem: append([]fault.Fault(nil), faults...)}
-}
-
-func (g *oracleGrader) grade(ctx context.Context, seq sim.Seq) ([]fault.Fault, error) {
-	// The oracle is a test/benchmark cost model; it honors cancellation
-	// only between sequences (full-sweep runs are not interruptible).
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res := fsim.RunSequential(g.c, g.rem, seq)
-	if len(res.DetectedAt) == 0 {
-		return nil, nil
-	}
-	detected := make([]fault.Fault, 0, len(res.DetectedAt))
-	keep := g.rem[:0]
-	for _, f := range g.rem {
-		if _, ok := res.DetectedAt[f]; ok {
-			detected = append(detected, f)
-		} else {
-			keep = append(keep, f)
-		}
-	}
-	g.rem = keep
-	return detected, nil
-}
-
-func (g *oracleGrader) drop(f fault.Fault) {
-	for i, x := range g.rem {
-		if x == f {
-			g.rem = append(g.rem[:i], g.rem[i+1:]...)
-			return
-		}
-	}
-}
-
-func (g *oracleGrader) liveCount() int { return len(g.rem) }
-
-func (g *oracleGrader) remaining() []fault.Fault {
-	return append([]fault.Fault(nil), g.rem...)
-}
-
-func (g *oracleGrader) stats() fsim.Stats { return fsim.Stats{} }

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -34,8 +35,7 @@ func TestGraderEquivalence(t *testing.T) {
 		opt.RandomCount = 8
 
 		inc := Run(c, faults, opt)
-		opt.fullResim = true
-		full := Run(c, faults, opt)
+		full := runFullResim(c, faults, opt)
 
 		if len(inc.Status) != len(full.Status) {
 			t.Fatalf("trial %d: %d vs %d statuses", trial, len(inc.Status), len(full.Status))
@@ -65,3 +65,62 @@ func TestGraderEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// runFullResim is Run with the oracle grader in place of the
+// incremental simulator: the pre-incremental cost model that rebuilds a
+// full-sweep simulation of every surviving fault per sequence.
+func runFullResim(c *netlist.Circuit, faults []fault.Fault, opt Options) *Result {
+	res, _ := runMerge(context.Background(), c, faults, opt, nil, newOracleGrader)
+	return res
+}
+
+// oracleGrader re-simulates the whole surviving fault list with the
+// full-sweep oracle on every call, the pre-incremental cost model.
+type oracleGrader struct {
+	c   *netlist.Circuit
+	rem []fault.Fault
+}
+
+func newOracleGrader(c *netlist.Circuit, faults []fault.Fault) grader {
+	return &oracleGrader{c: c, rem: append([]fault.Fault(nil), faults...)}
+}
+
+func (g *oracleGrader) grade(ctx context.Context, seq sim.Seq) ([]fault.Fault, error) {
+	// Full-sweep runs are not interruptible; the oracle honors
+	// cancellation only between sequences.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	res := fsim.RunSequential(g.c, g.rem, seq)
+	if len(res.DetectedAt) == 0 {
+		return nil, nil
+	}
+	detected := make([]fault.Fault, 0, len(res.DetectedAt))
+	keep := g.rem[:0]
+	for _, f := range g.rem {
+		if _, ok := res.DetectedAt[f]; ok {
+			detected = append(detected, f)
+		} else {
+			keep = append(keep, f)
+		}
+	}
+	g.rem = keep
+	return detected, nil
+}
+
+func (g *oracleGrader) drop(f fault.Fault) {
+	for i, x := range g.rem {
+		if x == f {
+			g.rem = append(g.rem[:i], g.rem[i+1:]...)
+			return
+		}
+	}
+}
+
+func (g *oracleGrader) liveCount() int { return len(g.rem) }
+
+func (g *oracleGrader) remaining() []fault.Fault {
+	return append([]fault.Fault(nil), g.rem...)
+}
+
+func (g *oracleGrader) stats() fsim.Stats { return fsim.Stats{} }

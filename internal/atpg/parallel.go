@@ -182,7 +182,8 @@ type specWorker struct {
 }
 
 // newSpeculator starts workers speculating over the survivor list.
-// driverEng is the merge driver's engine (already context-wired).
+// driverEng is the merge driver's engine (already context-wired); the
+// workers' engines share its program.
 func newSpeculator(ctx context.Context, c *netlist.Circuit, opt Options, survivors []fault.Fault, driverEng *engine) *speculator {
 	sp := &speculator{
 		c:      c,
@@ -206,7 +207,7 @@ func newSpeculator(ctx context.Context, c *netlist.Circuit, opt Options, survivo
 	// len(sp.workers) for the speculation window.
 	for i := 0; i < n; i++ {
 		w := &specWorker{sp: sp}
-		w.eng = newEngine(c, opt)
+		w.eng = driverEng.program.engine()
 		w.eng.ctx = sp.ctx
 		w.sim = fsim.NewSimulator(c, sp.faults)
 		// Shard simulators run on the shard's goroutine; the group pool

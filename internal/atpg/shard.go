@@ -143,7 +143,7 @@ type CandidateLookup func(fault.Fault) (DecidedFault, bool)
 // (no local speculators are started), so Result.Parallel is nil, as on
 // a serial run.
 func RunContextWithCandidates(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, lookup CandidateLookup) (*Result, error) {
-	return runMerge(ctx, c, faults, opt, lookup)
+	return runMerge(ctx, c, faults, opt, lookup, newSimGrader)
 }
 
 // lookupSource feeds the merge loop from a CandidateLookup, generating

@@ -4,6 +4,10 @@
 # by more than BENCH_MAX_REGRESSION_PCT percent (default: 5) in ns/op.
 # Benchmarks present in only one file are reported and skipped (the
 # -procs suffix makes names hardware-dependent).
+#
+# Numbers from different machines do not compare, so the script refuses
+# (exit 2) unless both files carry the same "# host:" line, the one
+# scripts/bench.sh stamps: same core count and CPU model.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -16,6 +20,24 @@ fi
 if [ ! -f benchmarks/latest.txt ]; then
     echo "bench-compare: benchmarks/latest.txt missing; run scripts/bench.sh first" >&2
     exit 1
+fi
+
+host_of() { sed -n 's/^# host: //p' "$1" | head -1; }
+base_host=$(host_of benchmarks/baseline.txt)
+last_host=$(host_of benchmarks/latest.txt)
+for f in baseline latest; do
+    if [ -z "$(host_of benchmarks/$f.txt)" ]; then
+        echo "bench-compare: refusing to compare: benchmarks/$f.txt has no '# host:' line, so its machine is unknown;" >&2
+        echo "  regenerate it with scripts/bench.sh (then scripts/bench-update.sh for the baseline)" >&2
+        exit 2
+    fi
+done
+if [ "$base_host" != "$last_host" ]; then
+    echo "bench-compare: refusing to compare runs from different hosts:" >&2
+    echo "  baseline.txt: $base_host" >&2
+    echo "  latest.txt:   $last_host" >&2
+    echo "  re-run scripts/bench.sh on the baseline's host, or promote latest.txt with scripts/bench-update.sh" >&2
+    exit 2
 fi
 
 awk -v max="$MAX" '

@@ -2,7 +2,7 @@
 # bench.sh — run the tracked benchmark set and write benchmarks/latest.txt.
 #
 #   BENCH_PKGS     packages to benchmark   (default: ./internal/fsim ./internal/atpg ./internal/retime ./internal/fault)
-#   BENCH_PATTERN  -bench regexp           (default: BenchmarkFsim|BenchmarkRandomPhase|BenchmarkATPGWithDropping|BenchmarkATPGParallel|BenchmarkATPGCheckpointOverhead|BenchmarkMinPeriod|BenchmarkCollapse|BenchmarkIdentityHashes)
+#   BENCH_PATTERN  -bench regexp           (default: BenchmarkFsim|BenchmarkRandomPhase|BenchmarkATPGWithDropping|BenchmarkATPGParallel|BenchmarkATPGCheckpointOverhead|BenchmarkMinPeriod|BenchmarkCollapse|BenchmarkIdentityHashes|BenchmarkPODEM)
 #   BENCH_COUNT    -count                  (default: 1)
 #   BENCH_CPUS     -cpu matrix for the parallel benchmarks, appended as
 #                  a second pass (default: 1,2,4,8; empty = skip).
@@ -17,7 +17,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 PKGS="${BENCH_PKGS:-./internal/fsim ./internal/atpg ./internal/retime ./internal/fault}"
-PATTERN="${BENCH_PATTERN:-BenchmarkFsim|BenchmarkRandomPhase|BenchmarkATPGWithDropping|BenchmarkATPGParallel|BenchmarkATPGCheckpointOverhead|BenchmarkMinPeriod|BenchmarkCollapse|BenchmarkIdentityHashes}"
+PATTERN="${BENCH_PATTERN:-BenchmarkFsim|BenchmarkRandomPhase|BenchmarkATPGWithDropping|BenchmarkATPGParallel|BenchmarkATPGCheckpointOverhead|BenchmarkMinPeriod|BenchmarkCollapse|BenchmarkIdentityHashes|BenchmarkPODEM}"
 COUNT="${BENCH_COUNT:-1}"
 CPUS="${BENCH_CPUS-1,2,4,8}"
 MATRIX="${BENCH_MATRIX:-BenchmarkFsimParallel|BenchmarkATPGParallel|BenchmarkFsimEventDriven}"

@@ -28,14 +28,17 @@ echo "== go test -race (result cache: hit/miss byte-identity, corrupt-entry disc
 go test -race -count=1 -run 'TestCachedRun|TestCacheServesRepeatedSubmission|TestCacheDiskTierSurvivesRestart|TestCorruptEntryDiscardedOnLoad|TestConcurrentIdenticalSubmissionsRunOnce|TestCacheHammer' \
     ./internal/resultcache/ ./internal/atpg/ ./internal/service/
 
-echo "== go test -race -short (fault-sharded ATPG determinism, PODEM implication oracle, pinned result digests, Theorem 1-4 metamorphic suite)"
+echo "== go test -race -short (fault-sharded ATPG determinism, PODEM implication and kernel oracles, pinned result digests, Theorem 1-4 metamorphic suite)"
 # -short keeps the gate fast: 12 theorem pairs, the 5-repeat
 # determinism gauntlet, 4 circuits of the event-driven-vs-full-sweep
-# implication oracle, and the random-circuit half of the pinned
-# EncodeResultPayload digests at 1/2/4 workers. The full 50-pair suite,
-# 12 oracle circuits and the Table II digests run race-free in the plain
-# `go test ./...` tier-1 pass; drop -short here for a nightly run.
-go test -race -short -count=1 -run 'TestParallel|TestTheorem|TestEventDrivenImplication|TestPinnedResultDigests' ./internal/atpg/ ./internal/verify/
+# implication oracle (plus 3 per forced sparse/dense/mixed drain), the
+# exhaustive 8-op x 9x9 kernel-table check with 8 circuits of the
+# kernel-vs-generic differential, and the random-circuit half of the
+# pinned EncodeResultPayload digests at 1/2/4 workers. The full 50-pair
+# suite, 12 oracle circuits, 24 differential circuits and the Table II
+# digests run race-free in the plain `go test ./...` tier-1 pass; drop
+# -short here for a nightly run.
+go test -race -short -count=1 -run 'TestParallel|TestTheorem|TestEventDrivenImplication|TestPODEMKernelMatchesEvalC|TestSparseAndDenseDrainsMatchFullSweep|TestPinnedResultDigests' ./internal/atpg/ ./internal/verify/
 
 echo "== go test (min-period retiming byte-identity: Bellman-Ford oracle, pinned Table II digests)"
 # The W/D minimum-period search stops a probe at the first negative
